@@ -59,12 +59,15 @@ class _Parser(argparse.ArgumentParser):
 
 def parse_grid(text: str) -> list[float]:
     """Parse ``start:stop:step`` into an inclusive grid (1e-9 slack), or one float."""
-    parts = text.split(":")
+    try:
+        parts = [float(p) for p in text.split(":")]
+    except ValueError:
+        raise ConfigurationError(f"grid must be numbers start:stop:step, got {text!r}") from None
     if len(parts) == 1:
-        return [float(parts[0])]
+        return parts
     if len(parts) != 3:
         raise ConfigurationError(f"grid must be start:stop:step, got {text!r}")
-    start, stop, step = (float(p) for p in parts)
+    start, stop, step = parts
     if step <= 0:
         raise ConfigurationError(f"grid step must be positive, got {step}")
     if stop < start - 1e-9:
@@ -94,15 +97,6 @@ _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
 
-def _cast_bool(text: str) -> bool:
-    low = text.lower()
-    if low in _TRUE:
-        return True
-    if low in _FALSE:
-        return False
-    raise ConfigurationError(f"expected a boolean, got {text!r}")
-
-
 class _Opts:
     """Flag > config file > default resolution for one subcommand."""
 
@@ -115,14 +109,29 @@ class _Opts:
         if value is not None:
             return value
         if name in self.file:
-            text = self.file[name]
-            return _cast_bool(text) if cast is bool else cast(text)
+            return _cast(name, self.file[name], cast)
         return default
+
+
+def _cast(name: str, text: str, cast):
+    """Convert a config-file or environment value; name it when it does not parse."""
+    if cast is bool:
+        if text.lower() in _TRUE:
+            return True
+        if text.lower() in _FALSE:
+            return False
+    else:
+        try:
+            return cast(text)
+        except ValueError:
+            pass
+    raise ConfigurationError(f"{name} = {text!r} is not a valid {cast.__name__}")
 
 
 def _workers(opts: _Opts) -> int:
     env = os.environ.get("BLOCKNORM_WORKERS")
-    workers = opts.get("workers", int, int(env) if env else 1)
+    default = _cast("BLOCKNORM_WORKERS", env, int) if env else 1
+    workers = opts.get("workers", int, default)
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     return workers

@@ -7,9 +7,13 @@ and exceedance counts are merged by integer addition, which is exact
 and order-free.
 
 Degenerate draws (statistic denominator exactly zero) are counted and
-excluded from both the numerator and denominator of the tail estimate;
-they have probability zero under every continuous model here, so more
-than 0.1% of them aborts the run as a configuration bug.
+excluded from both the numerator and denominator of the tail estimate
+and from the count behind its standard error; they have probability
+zero under every continuous model here, so more than 0.1% of them
+aborts the run as a configuration bug. A threshold whose reference
+tail underflows double precision (below the smallest normal float, as
+the normal tail does past x = 37.5) has no meaningful ratio and is
+rejected before any path is drawn.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .dist import RefDist, normal_upper, ref_cdf, ref_upper, t_upper
-from .errors import ConfigurationError, DataError, DegenerateRateError
+from .errors import ConfigurationError, DataError, DegenerateRateError, DomainError
 from .procgen import RNG_ALGORITHM, ProcessSpec, Seed, derive_rep_seed, generate_paths
 from .stats import STAT_FLAG_BY_KIND, StatKernel, make_kernel
 from .blocks import BlockScheme
@@ -132,10 +136,9 @@ def _run_chunk(
     return counts.astype(np.int64), int(degenerate.sum()), (good if collect else None)
 
 
-def _run(config: SimConfig, workers: int, collect: bool):
+def _run(config: SimConfig, kernel: StatKernel, workers: int, collect: bool):
     if workers < 1:
         raise ConfigurationError(f"need workers >= 1, got {workers}")
-    kernel = make_kernel(config.stat_kind, config.scheme, config.n)
     grid = np.asarray(config.x_grid, dtype=float)
     bounds = _chunk_bounds(config.reps)
 
@@ -155,24 +158,33 @@ def _run(config: SimConfig, workers: int, collect: bool):
             f"(> 0.1%): check the process/statistic configuration"
         )
     values = np.concatenate([r[2] for r in results]) if collect else None
-    return kernel, counts, degenerate, values
+    return counts, degenerate, values
 
 
 def simulate_stats(config: SimConfig, workers: int = 1) -> np.ndarray:
     """The statistic values themselves, one per non-degenerate replication."""
-    _, _, _, values = _run(config, workers, collect=True)
+    kernel = make_kernel(config.stat_kind, config.scheme, config.n)
+    _, _, values = _run(config, kernel, workers, collect=True)
     return values
 
 
 def estimate_tail(config: SimConfig, workers: int = 1) -> TailTable:
     """Estimate P(statistic >= x) over the x grid and compare to the reference."""
-    kernel, counts, degenerate, _ = _run(config, workers, collect=False)
+    kernel = make_kernel(config.stat_kind, config.scheme, config.n)
     ref = config.ref if config.ref is not None else kernel.ref
     grid = np.asarray(config.x_grid, dtype=float)
-    mc_tail = counts / (config.reps - degenerate)
     ref_tail = np.array([ref_upper(ref, x) for x in grid])
+    underflow = grid[ref_tail < np.finfo(float).tiny]
+    if underflow.size:
+        raise DomainError(
+            f"the {ref.label()} upper tail underflows double precision at x = "
+            f"{', '.join(f'{x:g}' for x in underflow)}, so its ratio is undefined"
+        )
+    counts, degenerate, _ = _run(config, kernel, workers, collect=False)
+    effective = config.reps - degenerate
+    mc_tail = counts / effective
     ratio = mc_tail / ref_tail
-    mc_se = np.sqrt(mc_tail * (1.0 - mc_tail) / config.reps)
+    mc_se = np.sqrt(mc_tail * (1.0 - mc_tail) / effective)
     return TailTable(
         x=grid,
         mc_tail=mc_tail,

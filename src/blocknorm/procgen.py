@@ -31,6 +31,17 @@ Draw protocol per path (fixed; changing it would change all outputs):
   the next 1000 innovations are burned in, the last n are emitted.
 * high-dimensional linear: an (n+lag_cap) x p block of draws, filled
   row-major, combined with geometric lag weights.
+
+Batching. generate_paths draws a chunk of paths through one Generator:
+before each row it re-keys the Philox to the exact state of a fresh
+Philox(key=seed) (key [seed, 0], counter 0, empty output buffer). A
+counter-based generator's stream is a pure function of its key and
+counter, so each row equals what a generator built for its seed alone
+would draw. The AR(1) and ARCH(1) recursions then run time-major and in
+place over the draws, with the same floating-point operations in the
+same order as the step-by-step loops; the returned rows are therefore
+bit-identical to single-path generation, but they may be views into a
+wider array of draws rather than a contiguous array of their own.
 """
 
 from __future__ import annotations
@@ -144,32 +155,71 @@ class HDLinear:
 ProcessSpec = Union[IIDNormal, AR1, ARCH1, HDLinear]
 
 
+_TILE = 64  # time steps per tile of the recursions
+_BAND = 256  # rows per piece of a tile's transposed copy
+
+
 def _innovations(seeds: Sequence[Seed], n_draws: int) -> np.ndarray:
     out = np.empty((len(seeds), n_draws))
+    if not len(seeds):
+        return out
+    gen = generator(seeds[0])
+    # a fresh Philox(key=seed): key [seed, 0], counter 0, empty buffer
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     for row, seed in enumerate(seeds):
-        out[row] = generator(seed).standard_normal(n_draws)
+        state["state"]["key"][0] = int(seed) & _MASK64
+        gen.bit_generator.state = state
+        gen.standard_normal(out=out[row])
     return out
 
 
+def _recur_in_place(x: np.ndarray, step) -> None:
+    """Overwrite x[:, t] with step(x[:, t-1], x[:, t]) for t = 1, 2, ... in turn.
+
+    Time runs in tiles of _TILE steps. Each tile is copied transposed,
+    _BAND rows at a time so the copy stays in cache, into a small buffer
+    whose rows are time steps, so every step works on contiguous memory.
+    """
+    rows, cols = x.shape
+    buf = np.empty((_TILE + 1, rows))
+    slots = list(buf)  # one view per time step of the buffer
+    buf[0] = x[:, 0]
+    for lo in range(1, cols, _TILE):
+        width = min(_TILE, cols - lo)
+        for r in range(0, rows, _BAND):
+            buf[1 : width + 1, r : r + _BAND] = x[r : r + _BAND, lo : lo + width].T
+        for t in range(1, width + 1):
+            step(slots[t - 1], slots[t])
+        for r in range(0, rows, _BAND):
+            x[r : r + _BAND, lo : lo + width] = buf[1 : width + 1, r : r + _BAND].T
+        buf[0] = buf[width]
+
+
+# Each step writes only its result in place: on paths with few rows,
+# numpy dispatches an allocating ufunc faster than one given out=.
 def _ar1_from_innovations(eps: np.ndarray, rho: float) -> np.ndarray:
-    n = eps.shape[1] - 1
-    x = np.empty((eps.shape[0], n))
-    state = eps[:, 0] / math.sqrt(1.0 - rho * rho)
-    for i in range(n):
-        state = rho * state + eps[:, i + 1]
-        x[:, i] = state
-    return x
+    def step(prev, cur):
+        np.add(rho * prev, cur, cur)
+
+    eps[:, 0] /= math.sqrt(1.0 - rho * rho)
+    _recur_in_place(eps, step)
+    return eps[:, 1:]
 
 
 def _arch1_from_innovations(eps: np.ndarray, a: float, b: float) -> np.ndarray:
-    n = eps.shape[1] - 1 - ARCH_BURN_IN
-    x = np.empty((eps.shape[0], n))
-    state = eps[:, 0] * (a / math.sqrt(1.0 - b * b))
-    for i in range(ARCH_BURN_IN + n):
-        state = np.sqrt(a * a + (b * b) * state * state) * eps[:, i + 1]
-        if i >= ARCH_BURN_IN:
-            x[:, i - ARCH_BURN_IN] = state
-    return x
+    def step(prev, cur):
+        np.multiply(np.sqrt(a * a + (b * b) * prev * prev), cur, cur)
+
+    eps[:, 0] *= a / math.sqrt(1.0 - b * b)
+    _recur_in_place(eps, step)
+    return eps[:, 1 + ARCH_BURN_IN :]
 
 
 def generate_paths(process: ProcessSpec, n: int, seeds: Sequence[Seed]) -> np.ndarray:
@@ -177,7 +227,8 @@ def generate_paths(process: ProcessSpec, n: int, seeds: Sequence[Seed]) -> np.nd
 
     Row r is bit-identical to the single-path generator called with
     seeds[r]; batching exists only to let the time recursions run
-    vectorized across paths.
+    vectorized across paths. For AR(1) and ARCH(1) the result is a view
+    of the draws (see Batching in the module docstring).
     """
     if n < 1:
         raise ConfigurationError(f"path length must be >= 1, got n={n}")

@@ -34,6 +34,8 @@ class TestGridParsing:
             parse_grid("1:2:0")
         with pytest.raises(ConfigurationError):
             parse_grid("3:1:0.5")
+        with pytest.raises(ConfigurationError):
+            parse_grid("1:two:0.5")
 
 
 class TestTable1Command:
@@ -136,6 +138,44 @@ class TestSimulateCommand:
         code, out_one, _ = _run(capsys, *args)
         assert code == 0
         assert out_env == out_one  # worker count never changes the numbers
+
+    def test_non_numeric_workers_env_is_a_configuration_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("BLOCKNORM_WORKERS", "abc")
+        code, _, err = _run(
+            capsys, "simulate", "--process", "iid", "--stat", "t-star", "--m", "10",
+            "--n", "100", "--reps", "30", "--seed", "9",
+        )
+        assert code == 1
+        assert "configuration error" in err
+        assert "BLOCKNORM_WORKERS" in err and "'abc'" in err
+        assert "Traceback" not in err
+
+    def test_malformed_config_value_is_a_configuration_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("process = iid\nstat = i-star\nm = 10\nn = 120\nreps = lots\n")
+        code, _, err = _run(capsys, "simulate", "--config", str(cfg))
+        assert code == 1
+        assert "configuration error" in err
+        assert "reps" in err and "'lots'" in err
+        assert "Traceback" not in err
+
+    def test_malformed_threshold_grid_is_a_configuration_error(self, capsys):
+        code, _, err = _run(
+            capsys, "simulate", "--process", "iid", "--stat", "i-star", "--m", "10",
+            "--n", "100", "--reps", "10", "--x", "2:lots:1",
+        )
+        assert code == 1
+        assert "2:lots:1" in err
+
+    def test_underflowing_reference_tail_is_a_configuration_error(self, capsys):
+        # k = 5 interlaced sums: the t5 tail at 1e70 is about 1e-350, below double range
+        code, out, err = _run(
+            capsys, "simulate", "--process", "iid", "--stat", "i", "--m", "10",
+            "--n", "100", "--reps", "10", "--x", "1e70",
+        )
+        assert code == 1
+        assert out == ""
+        assert "t5 upper tail underflows" in err and "1e+70" in err
 
     def test_config_file_and_flag_precedence(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -8,7 +8,7 @@ import pytest
 import blocknorm.mc as mc
 from blocknorm.blocks import Batch, BigSmall, Interlace
 from blocknorm.dist import NORMAL, ref_quantile, student_t
-from blocknorm.errors import ConfigurationError, DataError, DegenerateRateError
+from blocknorm.errors import ConfigurationError, DataError, DegenerateRateError, DomainError
 from blocknorm.mc import (
     DEFAULT_X_GRID,
     SimConfig,
@@ -141,6 +141,46 @@ class TestDegenerateHandling:
         assert table.degenerate_count == 1
         # every retained draw exceeds -1e9, so exclusion from both sides gives exactly 1
         assert table.mc_tail[0] == 1.0
+
+    def test_standard_error_counts_only_retained_draws(self, monkeypatch):
+        real_generate = mc.generate_paths
+
+        def generate(process, n, seeds):
+            paths = np.array(real_generate(process, n, seeds))
+            paths[:2] = 1.0  # constant paths: zero denominator, degenerate
+            return paths
+
+        monkeypatch.setattr(mc, "generate_paths", generate)
+        cfg = _config(reps=3000, x_grid=(0.0, 1.0, 2.0))
+        table = estimate_tail(cfg)
+        assert table.degenerate_count == 2
+        values = simulate_stats(cfg)
+        assert values.size == 2998
+        for i, x in enumerate(cfg.x_grid):
+            p = np.count_nonzero(values >= x) / 2998
+            assert 0.0 < p < 1.0
+            assert table.mc_tail[i] == p
+            assert table.mc_se[i] == np.sqrt(p * (1.0 - p) / 2998)
+
+
+class TestReferenceTailUnderflow:
+    def test_underflowing_thresholds_are_named_before_any_draw(self, monkeypatch):
+        def no_draws(process, n, seeds):
+            raise AssertionError("paths were drawn for an undefined ratio")
+
+        monkeypatch.setattr(mc, "generate_paths", no_draws)
+        cfg = _config(reps=100, ref=NORMAL, x_grid=(2.0, 37.5, 38.0, 40.0))
+        with pytest.raises(DomainError) as info:
+            estimate_tail(cfg)
+        message = str(info.value)
+        assert "normal" in message
+        assert "x = 38, 40" in message
+
+    def test_smallest_normal_reference_tail_is_kept(self):
+        # the normal tail at 37.5 is about 4.6e-308, still a normal double
+        table = estimate_tail(_config(reps=100, ref=NORMAL, x_grid=(2.0, 37.5)))
+        assert np.isfinite(table.ratio).all()
+        assert table.ratio[1] == 0.0
 
 
 class TestKSDistance:

@@ -1,12 +1,19 @@
 """Process generators: determinism, moments, seed derivation."""
 
+import math
+
 import numpy as np
 import pytest
 
+from blocknorm.blocks import Interlace
 from blocknorm.errors import ConfigurationError
+from blocknorm.mc import _CHUNK_REPS, SimConfig, estimate_tail
 from blocknorm.procgen import (
+    _BAND,
+    _TILE,
     AR1,
     ARCH1,
+    ARCH_BURN_IN,
     HDLinear,
     IIDNormal,
     banded_mixing_matrix,
@@ -16,6 +23,7 @@ from blocknorm.procgen import (
     gen_hd_linear,
     gen_iid_normal,
     generate_paths,
+    generator,
     splitmix64,
 )
 
@@ -87,6 +95,94 @@ class TestDeterminism:
         batch = generate_paths(ARCH1(b=0.5), 80, seeds)
         for row, seed in enumerate(seeds):
             assert np.array_equal(batch[row], gen_arch1(80, 1.0, 0.5, seed))
+
+
+def _reference_paths(process, n, seeds):
+    """generate_paths the plain way: one generator per row, one time step per loop."""
+    draws = {AR1: n + 1, ARCH1: n + 1 + ARCH_BURN_IN}.get(type(process), n)
+    eps = np.empty((len(seeds), draws))
+    for row, seed in enumerate(seeds):
+        eps[row] = generator(seed).standard_normal(draws)
+    if isinstance(process, IIDNormal):
+        return eps
+    x = np.empty((len(seeds), n))
+    if isinstance(process, AR1):
+        rho = process.rho
+        state = eps[:, 0] / math.sqrt(1.0 - rho * rho)
+        for i in range(n):
+            state = rho * state + eps[:, i + 1]
+            x[:, i] = state
+        return x
+    a, b = process.a, process.b
+    state = eps[:, 0] * (a / math.sqrt(1.0 - b * b))
+    for i in range(ARCH_BURN_IN + n):
+        state = np.sqrt(a * a + (b * b) * state * state) * eps[:, i + 1]
+        if i >= ARCH_BURN_IN:
+            x[:, i - ARCH_BURN_IN] = state
+    return x
+
+
+_SEEDS = [derive_rep_seed(2718, r) for r in range(7)]
+
+
+class TestAgainstReferenceLoops:
+    """Batched generation must equal the per-row, per-step loops bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, _TILE - 1, _TILE, _TILE + 1, 130])
+    @pytest.mark.parametrize(
+        "process", [IIDNormal(), AR1(0.7), ARCH1(b=0.5)], ids=["iid", "ar1", "arch1"]
+    )
+    def test_lengths_around_the_time_tile(self, process, n):
+        batch = generate_paths(process, n, _SEEDS)
+        assert batch.shape == (len(_SEEDS), n)
+        assert np.array_equal(batch, _reference_paths(process, n, _SEEDS))
+
+    def test_arch_burn_in_ends_mid_tile(self):
+        # recursion steps run from column 1, so the first emitted step sits
+        # ARCH_BURN_IN % _TILE steps into its tile
+        assert ARCH_BURN_IN % _TILE != 0
+        for n in (1, _TILE - ARCH_BURN_IN % _TILE, 200):
+            batch = generate_paths(ARCH1(b=0.8), n, _SEEDS)
+            assert np.array_equal(batch, _reference_paths(ARCH1(b=0.8), n, _SEEDS))
+
+    @pytest.mark.parametrize(
+        "process",
+        [AR1(-0.6), AR1(0.0), ARCH1(b=0.0, a=2.5), ARCH1(b=0.7, a=0.3)],
+        ids=["rho<0", "rho=0", "b=0,a=2.5", "b=0.7,a=0.3"],
+    )
+    def test_parameter_edges(self, process):
+        batch = generate_paths(process, 90, _SEEDS)
+        assert np.array_equal(batch, _reference_paths(process, 90, _SEEDS))
+
+    def test_rows_across_copy_bands(self):
+        seeds = [derive_rep_seed(99, r) for r in range(_BAND + 37)]
+        for process in (AR1(0.9), ARCH1(b=0.9)):
+            batch = generate_paths(process, _TILE + 3, seeds)
+            assert np.array_equal(batch, _reference_paths(process, _TILE + 3, seeds))
+
+    @pytest.mark.parametrize(
+        "process", [IIDNormal(), AR1(0.5), ARCH1(b=0.5)], ids=["iid", "ar1", "arch1"]
+    )
+    def test_single_seed_and_no_seeds(self, process):
+        one = generate_paths(process, 70, [_SEEDS[3]])
+        assert np.array_equal(one, _reference_paths(process, 70, [_SEEDS[3]]))
+        none = generate_paths(process, 70, [])
+        assert none.shape == (0, 70)
+
+    def test_worker_count_never_changes_an_arch_table(self):
+        cfg = SimConfig(
+            process=ARCH1(b=0.6),
+            n=60,
+            scheme=Interlace(5),
+            stat_kind="InStar",
+            reps=2 * _CHUNK_REPS + 1,  # three chunks, the last one row
+            master_seed=17,
+            x_grid=(1.0, 2.0, 3.0),
+        )
+        one, three = estimate_tail(cfg, workers=1), estimate_tail(cfg, workers=3)
+        for field in ("mc_tail", "ref_tail", "ratio", "mc_se"):
+            assert np.array_equal(getattr(one, field), getattr(three, field))
+        assert one.degenerate_count == three.degenerate_count
 
 
 class TestMoments:
