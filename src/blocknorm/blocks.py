@@ -1,16 +1,21 @@
 """Block index schemes and block sums.
 
-Three ways of cutting a length-n sample into blocks:
+Every scheme states its layout once: a period and the windows laid
+into each period, as (tag, offset, length) tuples with offsets counted
+from the period start. A length-n sample holds k = floor(n / period)
+whole periods:
 
-* big-block-small-block: alternating blocks of m1 and m2 observations,
-  k = floor(n / (m1 + m2)) pairs; the big blocks carry the statistic and
-  the small blocks separate them.
-* interlacing: equal blocks of m observations on a stride of 2m; only
-  the odd blocks are used, so half the data is discarded.
-* batch: 2k consecutive blocks of m observations, k = floor(n / (2m)).
+* big-small ``BigSmall(m1, m2)``: period m1 + m2, windows ``big``
+  [0, m1) and ``small`` [m1, m1 + m2); the big blocks carry the
+  statistic and the small blocks separate them.
+* interlacing ``Interlace(m)``: period 2m, one window ``odd`` [0, m),
+  so half the data is discarded. These are exactly the big blocks of
+  ``BigSmall(m, m)``.
+* batch ``Batch(m)``: period 2m, two windows ``batch`` [0, m) and
+  [m, 2m), so the 2k blocks are consecutive.
 
 Indices are reported 1-based inclusive. Observations past the last full
-block are dropped.
+period are dropped.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigurationError, DataError
+
+Layout = tuple[int, tuple[tuple[str, int, int], ...]]  # (period, windows)
 
 
 @dataclass(frozen=True)
@@ -37,6 +44,9 @@ class BigSmall:
         if self.m1 < self.m2:
             raise ConfigurationError(f"need m1 >= m2, got m1={self.m1}, m2={self.m2}")
 
+    def layout(self) -> Layout:
+        return self.m1 + self.m2, (("big", 0, self.m1), ("small", self.m1, self.m2))
+
     def as_dict(self) -> dict:
         return {"scheme": "big-small", "m1": self.m1, "m2": self.m2}
 
@@ -51,6 +61,9 @@ class Interlace:
         if self.m < 1:
             raise ConfigurationError(f"block size must be >= 1, got m={self.m}")
 
+    def layout(self) -> Layout:
+        return 2 * self.m, (("odd", 0, self.m),)
+
     def as_dict(self) -> dict:
         return {"scheme": "interlace", "m": self.m}
 
@@ -64,6 +77,9 @@ class Batch:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ConfigurationError(f"block size must be >= 1, got m={self.m}")
+
+    def layout(self) -> Layout:
+        return 2 * self.m, (("batch", 0, self.m), ("batch", self.m, self.m))
 
     def as_dict(self) -> dict:
         return {"scheme": "batch", "m": self.m}
@@ -121,39 +137,39 @@ def exponents_to_sizes(n: int, alpha1: float, alpha2: float) -> tuple[int, int]:
     return m1, m2
 
 
+def periods(scheme: BlockScheme, n: int) -> int:
+    """Number k of whole periods of the scheme in n observations; k >= 1."""
+    period = scheme.layout()[0]
+    if period > n:
+        raise ConfigurationError(f"the {scheme.as_dict()['scheme']} period {period} exceeds n = {n}")
+    return n // period
+
+
+def partition(scheme: BlockScheme, n: int) -> BlockPartition:
+    """Every window of every whole period, in index order."""
+    k = periods(scheme, n)
+    period, windows = scheme.layout()
+    blocks = tuple(
+        Block(j * period + offset + 1, j * period + offset + length, tag)
+        for j in range(k)
+        for tag, offset, length in windows
+    )
+    return BlockPartition(blocks, k, scheme, n)
+
+
 def bbsb_partition(n: int, m1: int, m2: int) -> BlockPartition:
     """Alternating big/small partition; pair j starts at (j-1)(m1+m2)+1."""
-    scheme = BigSmall(m1, m2)
-    period = m1 + m2
-    if period > n:
-        raise ConfigurationError(f"m1 + m2 = {period} exceeds n = {n}")
-    k = n // period
-    blocks = []
-    for j in range(1, k + 1):
-        base = (j - 1) * period
-        blocks.append(Block(base + 1, base + m1, "big"))
-        blocks.append(Block(base + m1 + 1, base + period, "small"))
-    return BlockPartition(tuple(blocks), k, scheme, n)
+    return partition(BigSmall(m1, m2), n)
 
 
 def interlace_partition(n: int, m: int) -> BlockPartition:
     """Odd blocks of size m on stride 2m; the even gaps stay unassigned."""
-    scheme = Interlace(m)
-    if 2 * m > n:
-        raise ConfigurationError(f"2m = {2 * m} exceeds n = {n}")
-    k = n // (2 * m)
-    blocks = tuple(Block(2 * m * (j - 1) + 1, 2 * m * (j - 1) + m, "odd") for j in range(1, k + 1))
-    return BlockPartition(blocks, k, scheme, n)
+    return partition(Interlace(m), n)
 
 
 def batch_partition(n: int, m: int) -> BlockPartition:
     """2k consecutive blocks of size m, k = floor(n / (2m))."""
-    scheme = Batch(m)
-    if 2 * m > n:
-        raise ConfigurationError(f"2m = {2 * m} exceeds n = {n}")
-    k = n // (2 * m)
-    blocks = tuple(Block((j - 1) * m + 1, j * m, "batch") for j in range(1, 2 * k + 1))
-    return BlockPartition(blocks, k, scheme, n)
+    return partition(Batch(m), n)
 
 
 def _as_matrix(x) -> np.ndarray:
@@ -165,50 +181,28 @@ def _as_matrix(x) -> np.ndarray:
     return x
 
 
-def bigblock_sums_matrix(x: np.ndarray, m1: int, m2: int, k: int) -> np.ndarray:
-    """Big-block sums for each row of x; shape (rows, k)."""
-    period = m1 + m2
-    return x[:, : k * period].reshape(x.shape[0], k, period)[:, :, :m1].sum(axis=2)
-
-
-def smallblock_sums_matrix(x: np.ndarray, m1: int, m2: int, k: int) -> np.ndarray:
-    """Small-block sums for each row of x; shape (rows, k)."""
-    period = m1 + m2
-    return x[:, : k * period].reshape(x.shape[0], k, period)[:, :, m1:].sum(axis=2)
+def tagged_sums(x: np.ndarray, scheme: BlockScheme, k: int, tag: str) -> np.ndarray:
+    """Sums over the tag's windows in the first k periods of each row of x, in index order."""
+    period, windows = scheme.layout()
+    cut = x[:, : k * period].reshape(x.shape[0], k, period)
+    sums = [cut[:, :, offset : offset + length].sum(axis=2) for t, offset, length in windows if t == tag]
+    if not sums:
+        raise ConfigurationError(f"tag {tag!r} does not exist in scheme {scheme.as_dict()['scheme']!r}")
+    return np.stack(sums, axis=2).reshape(x.shape[0], -1)
 
 
 def interlace_sums_matrix(x: np.ndarray, m: int, k: int) -> np.ndarray:
     """Odd-block sums for each row of x; shape (rows, k)."""
-    return x[:, : k * 2 * m].reshape(x.shape[0], k, 2 * m)[:, :, :m].sum(axis=2)
-
-
-def batch_sums_matrix(x: np.ndarray, m: int, k: int) -> np.ndarray:
-    """Batch (consecutive) block sums for each row of x; shape (rows, 2k)."""
-    return x[:, : 2 * k * m].reshape(x.shape[0], 2 * k, m).sum(axis=2)
+    return tagged_sums(x, Interlace(m), k, "odd")
 
 
 def block_sums(series, partition: BlockPartition, tag: str) -> BlockSums:
     """Sum the series over every block carrying the given tag."""
     x = _as_matrix(series)
     if x.shape[0] != 1:
-        raise DataError("block_sums expects a single series; use the *_sums_matrix helpers for batches")
+        raise DataError("block_sums expects a single series; use tagged_sums for batches")
     if x.shape[1] != partition.n:
         raise DataError(f"series has length {x.shape[1]} but the partition was built for n={partition.n}")
-
-    scheme = partition.scheme
-    if isinstance(scheme, BigSmall) and tag == "big":
-        values = bigblock_sums_matrix(x, scheme.m1, scheme.m2, partition.k)
-        length = scheme.m1
-    elif isinstance(scheme, BigSmall) and tag == "small":
-        values = smallblock_sums_matrix(x, scheme.m1, scheme.m2, partition.k)
-        length = scheme.m2
-    elif isinstance(scheme, Interlace) and tag == "odd":
-        values = interlace_sums_matrix(x, scheme.m, partition.k)
-        length = scheme.m
-    elif isinstance(scheme, Batch) and tag == "batch":
-        values = batch_sums_matrix(x, scheme.m, partition.k)
-        length = scheme.m
-    else:
-        raise ConfigurationError(f"tag {tag!r} does not exist in scheme {scheme.as_dict()['scheme']!r}")
-    values = values[0]
+    values = tagged_sums(x, partition.scheme, partition.k, tag)[0]
+    length = next(w[2] for w in partition.scheme.layout()[1] if w[0] == tag)
     return BlockSums(values=values, block_length=length, k=values.shape[0])

@@ -13,14 +13,16 @@ it, file CSV outputs get a ``<path>.manifest.json`` sidecar, and CSV on
 stdout prints it to stderr.
 
 Flag values beat config-file values beat defaults; the config file
-(``--config``) holds flat ``key = value`` lines mirroring the long flag
-names. The worker count falls back to the BLOCKNORM_WORKERS environment
-variable and never affects the numbers, only the schedule.
+(``--config``) holds flat ``key = value`` lines whose keys must be long
+flag names of some subcommand. The worker count falls back to the
+BLOCKNORM_WORKERS environment variable and never affects the numbers,
+only the schedule.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -43,10 +45,10 @@ from .mc import (
     tail_table_csv,
     tail_table_payload,
 )
-from .blocks import Batch, BigSmall, Interlace
+from .blocks import BigSmall
 from .infer import ci_text_table, mean_test, read_panel_csv, simultaneous_ci
 from .procgen import AR1, ARCH1, RNG_ALGORITHM, IIDNormal
-from .stats import STAT_KIND_BY_FLAG
+from .stats import SCHEME_BY_KIND, STAT_KIND_BY_FLAG
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,6 +105,9 @@ class _Opts:
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.file = _read_config_file(args.config) if getattr(args, "config", None) else {}
+        unknown = sorted(set(self.file) - args.config_keys)
+        if unknown:
+            raise ConfigurationError(f"{args.config}: unknown key {', '.join(unknown)} (not a long flag)")
 
     def get(self, name: str, cast, default=None):
         value = getattr(self.args, name.replace("-", "_"), None)
@@ -178,44 +183,36 @@ def _cmd_table1(args: argparse.Namespace, argv: list[str]) -> int:
     return 0
 
 
-def _build_process(opts: _Opts, grid_mode: bool):
+PROCESS_BY_NAME = {"iid": IIDNormal, "ar1": AR1, "arch1": ARCH1}
+
+
+def _build_process(opts: _Opts):
+    """The process and, for a grid run, the values of its grid parameter."""
     name = opts.get("process", str)
     if name is None:
         raise ConfigurationError("simulate needs --process (iid, ar1 or arch1)")
-    rho = opts.get("rho", float)
-    rho_grid = opts.get("rho-grid", str)
-    b = opts.get("b", float)
-    b_grid = opts.get("b-grid", str)
-    a = opts.get("a", float, 1.0)
-
-    if name == "iid":
-        if rho is not None or rho_grid or b is not None or b_grid:
-            raise ConfigurationError("--rho/--b flags do not apply to the iid process")
-        return IIDNormal(), None
-    if name == "ar1":
-        if b is not None or b_grid:
-            raise ConfigurationError("--b flags do not apply to the ar1 process")
-        if rho_grid:
-            if rho is not None:
-                raise ConfigurationError("give either --rho or --rho-grid, not both")
-            return AR1(rho=0.0), parse_grid(rho_grid)
-        return AR1(rho=rho if rho is not None else 0.0), None
-    if name == "arch1":
-        if rho is not None or rho_grid:
-            raise ConfigurationError("--rho flags do not apply to the arch1 process")
-        if b_grid:
-            if b is not None:
-                raise ConfigurationError("give either --b or --b-grid, not both")
-            return ARCH1(b=0.0, a=a), parse_grid(b_grid)
-        return ARCH1(b=b if b is not None else 0.0, a=a), None
-    raise ConfigurationError(f"unknown process {name!r} (expected iid, ar1 or arch1)")
+    if name not in PROCESS_BY_NAME:
+        raise ConfigurationError(f"unknown process {name!r} (expected iid, ar1 or arch1)")
+    cls = PROCESS_BY_NAME[name]
+    fields = [f.name for f in dataclasses.fields(cls)]
+    for flag in ("rho", "rho-grid", "b", "b-grid", "a"):
+        if flag.removesuffix("-grid") not in fields and opts.get(flag, str) is not None:
+            raise ConfigurationError(f"--{flag} does not apply to the {name} process")
+    params = {f: v for f in fields if (v := opts.get(f, float)) is not None}
+    param = getattr(cls, "param", None)
+    grid = opts.get(f"{param}-grid", str) if param else None
+    if grid is not None and param in params:
+        raise ConfigurationError(f"give either --{param} or --{param}-grid, not both")
+    if param:
+        params.setdefault(param, 0.0)
+    return cls(**params), (None if grid is None else parse_grid(grid))
 
 
 def _build_scheme(opts: _Opts, stat_kind: str):
     m = opts.get("m", int)
     m1 = opts.get("m1", int)
     m2 = opts.get("m2", int)
-    if stat_kind in ("Wn", "WnStar"):
+    if SCHEME_BY_KIND[stat_kind] is BigSmall:
         if m is not None:
             raise ConfigurationError("--m does not apply to the big-small statistics; use --m1/--m2")
         if m1 is None or m2 is None:
@@ -225,7 +222,7 @@ def _build_scheme(opts: _Opts, stat_kind: str):
         raise ConfigurationError("--m1/--m2 only apply to the big-small statistics; use --m")
     if m is None:
         raise ConfigurationError("this statistic needs a block length --m")
-    return Interlace(m) if stat_kind in ("In", "InStar") else Batch(m)
+    return SCHEME_BY_KIND[stat_kind](m)
 
 
 def _cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
@@ -241,7 +238,7 @@ def _cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
         )
     stat_kind = STAT_KIND_BY_FLAG[stat_flag]
 
-    process, param_grid = _build_process(opts, grid_mode=True)
+    process, param_grid = _build_process(opts)
     scheme = _build_scheme(opts, stat_kind)
     config = SimConfig(
         process=process,
@@ -388,6 +385,11 @@ def build_parser() -> _Parser:
                    help="Student t quantiles instead of normal (default on)")
     p.set_defaults(handler=_cmd_test)
 
+    # config-file keys of any subcommand are accepted, so one file can serve them all
+    parser.set_defaults(config_keys={
+        opt[2:] for sub in commands.choices.values() for action in sub._actions
+        for opt in action.option_strings if opt.startswith("--")
+    })
     return parser
 
 

@@ -31,10 +31,7 @@ class RefDist:
 
     def __post_init__(self) -> None:
         if self.df is not None:
-            if not isinstance(self.df, int) or isinstance(self.df, bool):
-                raise DomainError(f"degrees of freedom must be an integer, got {self.df!r}")
-            if self.df < 1:
-                raise DomainError(f"degrees of freedom must be >= 1, got {self.df}")
+            _check_df(self.df)
 
     @property
     def is_normal(self) -> bool:
@@ -42,15 +39,6 @@ class RefDist:
 
     def label(self) -> str:
         return "normal" if self.df is None else f"t{self.df}"
-
-    def cdf(self, x: float) -> float:
-        return ref_cdf(self, x)
-
-    def upper(self, x: float) -> float:
-        return ref_upper(self, x)
-
-    def quantile(self, p: float) -> float:
-        return ref_quantile(self, p)
 
 
 NORMAL = RefDist()
@@ -70,8 +58,7 @@ def _require_finite(x: float) -> float:
 
 def normal_cdf(x: float) -> float:
     """Standard normal distribution function."""
-    x = _require_finite(x)
-    return 0.5 * math.erfc(-x / _SQRT2)
+    return normal_upper(-_require_finite(x))
 
 
 def normal_upper(x: float) -> float:
@@ -160,11 +147,7 @@ def _check_df(df: int) -> int:
 
 def t_cdf(x: float, df: int) -> float:
     """Student t distribution function with integer degrees of freedom."""
-    x = _require_finite(x)
-    df = _check_df(df)
-    if x >= 0.0:
-        return 1.0 - _t_upper_nonneg(x, df)
-    return _t_upper_nonneg(-x, df)
+    return t_upper(-_require_finite(x), df)
 
 
 def t_upper(x: float, df: int) -> float:
@@ -183,9 +166,7 @@ def _t_pdf(x: float, df: int) -> float:
 
 def ref_cdf(dist: RefDist, x: float) -> float:
     """Distribution function of a reference distribution."""
-    if dist.is_normal:
-        return normal_cdf(x)
-    return t_cdf(x, dist.df)
+    return ref_upper(dist, -_require_finite(x))
 
 
 def ref_upper(dist: RefDist, x: float) -> float:

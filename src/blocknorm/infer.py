@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import interlace_sums_matrix
+from .blocks import Interlace, interlace_sums_matrix, periods
 from .dist import NORMAL, RefDist, ref_quantile, student_t
 from .errors import ConfigurationError, DataError
 
@@ -106,11 +106,7 @@ def simultaneous_ci(panel, alpha: float, m: int | None = None, use_t: bool = Tru
         raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
     if m is None:
         m = default_block_length(n)
-    if m < 1:
-        raise ConfigurationError(f"block length must be >= 1, got m={m}")
-    if 2 * m > n:
-        raise ConfigurationError(f"2m = {2 * m} exceeds n = {n}")
-    k = n // (2 * m)
+    k = periods(Interlace(m), n)
     if k < 2:
         raise ConfigurationError(f"need at least 2 interlaced blocks, got k={k} (n={n}, m={m})")
     if math.log(p) >= n**0.25:
@@ -144,6 +140,9 @@ def mean_test(panel, mu0, alpha: float, m: int | None = None, use_t: bool = True
         raise DataError(
             f"mu0 has shape {mu.shape} but the panel has {z.shape[1]} coordinates"
         )
+    bad = np.nonzero(~np.isfinite(mu))[0]
+    if bad.size:
+        raise DataError(f"mu0 is not finite at coordinates {', '.join(str(i) for i in bad)}")
     ci = simultaneous_ci(z, alpha=alpha, m=m, use_t=use_t)
     outside = np.abs(mu - ci.centers) > ci.halfwidths
     violating = tuple(int(i) for i in np.nonzero(outside)[0])

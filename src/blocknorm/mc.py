@@ -197,34 +197,16 @@ def estimate_tail(config: SimConfig, workers: int = 1) -> TailTable:
     )
 
 
-def _process_with_param(process: ProcessSpec, value: float) -> ProcessSpec:
-    from .procgen import AR1, ARCH1
-
-    if isinstance(process, AR1):
-        return AR1(rho=value)
-    if isinstance(process, ARCH1):
-        return ARCH1(b=value, a=process.a)
-    raise ConfigurationError("parameter grids exist for AR(1) (over rho) and ARCH(1) (over b)")
-
-
-def grid_param_name(process: ProcessSpec) -> str:
-    from .procgen import AR1, ARCH1
-
-    if isinstance(process, AR1):
-        return "rho"
-    if isinstance(process, ARCH1):
-        return "b"
-    raise ConfigurationError("parameter grids exist for AR(1) (over rho) and ARCH(1) (over b)")
-
-
 def ratio_grid(config: SimConfig, params: Sequence[float], workers: int = 1) -> RatioGrid:
     """One tail table per parameter value, assembled column-wise."""
     if len(params) < 1:
         raise ConfigurationError("parameter grid must be nonempty")
-    name = grid_param_name(config.process)
+    name = getattr(config.process, "param", None)
+    if name is None:
+        raise ConfigurationError("parameter grids exist for AR(1) (over rho) and ARCH(1) (over b)")
     tables = []
     for value in params:
-        cell = dataclasses.replace(config, process=_process_with_param(config.process, value))
+        cell = dataclasses.replace(config, process=dataclasses.replace(config.process, **{name: value}))
         tables.append(estimate_tail(cell, workers=workers))
     return RatioGrid(param_name=name, param_values=tuple(float(v) for v in params), tables=tuple(tables))
 

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import ClassVar, Sequence, Union
 
 import numpy as np
 
@@ -95,6 +95,7 @@ class IIDNormal:
 class AR1:
     """X_i = rho * X_{i-1} + eps_i with standard normal innovations, |rho| < 1."""
 
+    param: ClassVar[str] = "rho"  # the parameter a ratio grid varies
     rho: float
 
     def __post_init__(self) -> None:
@@ -113,6 +114,7 @@ class ARCH1:
     it defaults to 1.
     """
 
+    param: ClassVar[str] = "b"  # the parameter a ratio grid varies
     b: float
     a: float = 1.0
 

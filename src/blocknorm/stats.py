@@ -35,22 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import (
-    Batch,
-    BigSmall,
-    BlockScheme,
-    Interlace,
-    batch_partition,
-    batch_sums_matrix,
-    bbsb_partition,
-    bigblock_sums_matrix,
-    interlace_partition,
-    interlace_sums_matrix,
-)
+from .blocks import Batch, BigSmall, BlockScheme, Interlace, periods, tagged_sums
 from .dist import NORMAL, RefDist, student_t
 from .errors import ConfigurationError, DataError, DegenerateDenominatorError
-
-STAT_KINDS = ("Wn", "WnStar", "In", "InStar", "TnStar", "TwoSampleW")
 
 STAT_FLAG_BY_KIND = {
     "Wn": "w",
@@ -61,6 +48,7 @@ STAT_FLAG_BY_KIND = {
     "TwoSampleW": "two-sample",
 }
 STAT_KIND_BY_FLAG = {flag: kind for kind, flag in STAT_FLAG_BY_KIND.items() if kind != "TwoSampleW"}
+SCHEME_BY_KIND = {"Wn": BigSmall, "WnStar": BigSmall, "In": Interlace, "InStar": Interlace, "TnStar": Batch}
 
 
 @dataclass(frozen=True)
@@ -118,24 +106,22 @@ class StatKernel:
     Built once per run; `values` maps a (rows, n) batch of series to the
     statistic values plus a degeneracy mask. The scalar operations below
     run through the same kernel, so batched and one-at-a-time evaluation
-    agree bit for bit.
+    agree bit for bit. A statistic uses the windows tagged like the
+    scheme's first window, over k whole periods.
     """
 
     kind: str
     scheme: BlockScheme
     n: int
+    k: int
+    tag: str
     n_sums: int
     block_length: int
     studentized: bool
     ref: RefDist
 
     def sums(self, x: np.ndarray) -> np.ndarray:
-        s = self.scheme
-        if isinstance(s, BigSmall):
-            return bigblock_sums_matrix(x, s.m1, s.m2, self.n_sums)
-        if isinstance(s, Interlace):
-            return interlace_sums_matrix(x, s.m, self.n_sums)
-        return batch_sums_matrix(x, s.m, self.n_sums // 2)
+        return tagged_sums(x, self.scheme, self.k, self.tag)
 
     def values(self, x: np.ndarray, mu0: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         y = self.sums(x)
@@ -148,23 +134,14 @@ class StatKernel:
 
 def make_kernel(kind: str, scheme: BlockScheme, n: int) -> StatKernel:
     """Validate a (statistic, scheme, n) combination and build its kernel."""
-    if kind in ("Wn", "WnStar"):
-        if not isinstance(scheme, BigSmall):
-            raise ConfigurationError(f"statistic {kind} requires the big-small scheme")
-        part = bbsb_partition(n, scheme.m1, scheme.m2)
-        n_sums, length = part.k, scheme.m1
-    elif kind in ("In", "InStar"):
-        if not isinstance(scheme, Interlace):
-            raise ConfigurationError(f"statistic {kind} requires the interlace scheme")
-        part = interlace_partition(n, scheme.m)
-        n_sums, length = part.k, scheme.m
-    elif kind == "TnStar":
-        if not isinstance(scheme, Batch):
-            raise ConfigurationError(f"statistic {kind} requires the batch scheme")
-        part = batch_partition(n, scheme.m)
-        n_sums, length = 2 * part.k, scheme.m
-    else:
+    if kind not in SCHEME_BY_KIND:
         raise ConfigurationError(f"unknown statistic kind {kind!r}")
+    if not isinstance(scheme, SCHEME_BY_KIND[kind]):
+        raise ConfigurationError(f"statistic {kind} requires the {SCHEME_BY_KIND[kind].__name__} scheme")
+    k = periods(scheme, n)
+    windows = scheme.layout()[1]
+    tag, _, length = windows[0]
+    n_sums = k * sum(w[0] == tag for w in windows)
 
     studentized = kind in ("WnStar", "InStar", "TnStar")
     if studentized:
@@ -177,6 +154,8 @@ def make_kernel(kind: str, scheme: BlockScheme, n: int) -> StatKernel:
         kind=kind,
         scheme=scheme,
         n=n,
+        k=k,
+        tag=tag,
         n_sums=n_sums,
         block_length=length,
         studentized=studentized,
@@ -243,16 +222,15 @@ def two_sample_w(data: TwoSampleData, m1: int, m2: int) -> StatValue:
     """
     x1 = _validate_series(data.x1, "x1")
     x2 = _validate_series(data.x2, "x2")
-    period = m1 + m2
+    scheme = BigSmall(m1, m2)
+    period = scheme.layout()[0]
     k1, k2 = x1.size // period, x2.size // period
     if k1 < 1 or k2 < 1:
         raise ConfigurationError(
             f"each sample needs at least one full block pair: k1={k1}, k2={k2}"
         )
-    bbsb_partition(x1.size, m1, m2)
-    bbsb_partition(x2.size, m1, m2)
-    y1 = bigblock_sums_matrix(x1[np.newaxis, :], m1, m2, k1)[0]
-    y2 = bigblock_sums_matrix(x2[np.newaxis, :], m1, m2, k2)[0]
+    y1 = tagged_sums(x1[np.newaxis, :], scheme, k1, "big")[0]
+    y2 = tagged_sums(x2[np.newaxis, :], scheme, k2, "big")[0]
     v1_sq = float((y1 * y1).sum())
     v2_sq = float((y2 * y2).sum())
     if v1_sq == 0.0 and v2_sq == 0.0:

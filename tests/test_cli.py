@@ -122,6 +122,23 @@ class TestSimulateCommand:
         assert code == 1
         assert "rho" in err
 
+    def test_arch_scale_only_applies_to_arch1(self, capsys):
+        for process in ("iid", "ar1"):
+            code, _, err = _run(
+                capsys, "simulate", "--process", process, "--a", "0",
+                "--stat", "i-star", "--m", "5", "--n", "100", "--reps", "10", "--seed", "1",
+            )
+            assert code == 1
+            assert "--a does not apply" in err
+
+    def test_empty_parameter_grid_is_an_error(self, capsys):
+        code, _, err = _run(
+            capsys, "simulate", "--process", "ar1", "--rho-grid", "",
+            "--stat", "i-star", "--m", "5", "--n", "100", "--reps", "10", "--seed", "1",
+        )
+        assert code == 1
+        assert "grid" in err
+
     def test_unknown_flag_is_an_error(self, capsys):
         code, _, _ = _run(capsys, "simulate", "--process", "iid", "--nonsense", "1")
         assert code == 1
@@ -158,6 +175,21 @@ class TestSimulateCommand:
         assert "configuration error" in err
         assert "reps" in err and "'lots'" in err
         assert "Traceback" not in err
+
+    def test_misspelt_config_key_is_a_configuration_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("process = iid\nstat = i-star\nm = 10\nn = 100\nreps = 10\nrep = 5\nproces = ar1\n")
+        code, out, err = _run(capsys, "simulate", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert "configuration error" in err
+        assert str(cfg) in err and "proces, rep" in err
+
+    def test_config_keys_of_other_subcommands_are_accepted(self, capsys, tmp_path):
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("process = iid\nstat = i-star\nm = 10\nn = 100\nreps = 10\nalpha = 0.1\nuse-t = no\n")
+        code, _, _ = _run(capsys, "simulate", "--config", str(cfg))
+        assert code == 0
 
     def test_malformed_threshold_grid_is_a_configuration_error(self, capsys):
         code, _, err = _run(
@@ -242,6 +274,14 @@ class TestCiAndTestCommands:
         payload = json.loads(out)["test"]
         assert payload["reject"] is True
         assert 0 in payload["violating_coordinates"]
+
+    def test_test_non_finite_mu0_is_a_data_error(self, capsys, panel_csv, tmp_path):
+        mu0 = tmp_path / "mu0.csv"
+        mu0.write_text("0,nan,inf\n")
+        code, out, err = _run(capsys, "test", str(panel_csv), "--mu0", str(mu0))
+        assert code == 2
+        assert out == ""
+        assert "data error" in err and "coordinates 1, 2" in err
 
     def test_test_wrong_mu0_length(self, capsys, panel_csv, tmp_path):
         mu0 = tmp_path / "mu0.csv"

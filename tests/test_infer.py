@@ -119,6 +119,11 @@ class TestMeanTest:
         with pytest.raises(DataError):
             mean_test(_panel(p=5), np.zeros(4), alpha=0.05, m=8)
 
+    def test_non_finite_mu0_names_the_coordinates(self):
+        mu0 = np.array([0.0, np.nan, 0.0, np.inf, -np.inf])
+        with pytest.raises(DataError, match="coordinates 1, 3, 4"):
+            mean_test(_panel(p=5), mu0, alpha=0.05, m=8)
+
     def test_null_level_small_monte_carlo(self):
         # 300 replications at alpha = 0.1: rejection rate must stay near or
         # below the nominal level (Bonferroni with t quantiles is conservative)

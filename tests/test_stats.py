@@ -117,6 +117,10 @@ class TestDegenerateAndErrors:
         with pytest.raises(DegenerateDenominatorError):
             two_sample_w(TwoSampleData(np.zeros(10), np.zeros(10)), 2, 2)
 
+    def test_two_sample_zero_block_sizes_rejected(self):
+        with pytest.raises(ConfigurationError):
+            two_sample_w(TwoSampleData(np.arange(10.0), np.arange(10.0)), 0, 0)
+
     def test_starred_needs_two_blocks(self):
         with pytest.raises(ConfigurationError):
             w_n_star(np.arange(5.0), 3, 2, 0.0)  # k = 1
