@@ -19,6 +19,7 @@ from blocknorm import (
     Batch,
     BigSmall,
     IIDNormal,
+    NORMAL,
     Interlace,
     SimConfig,
     TwoSampleData,
@@ -29,8 +30,12 @@ from blocknorm import (
     i_n,
     i_n_star,
     interlace_partition,
+    ks_distance,
+    ref_cdf,
+    ref_upper,
     simulate_stats,
     simultaneous_ci,
+    student_t,
     t_n_star,
     table1,
     two_sample_w,
@@ -38,6 +43,7 @@ from blocknorm import (
     w_n_star,
 )
 from blocknorm.cli import main
+from blocknorm.stats import make_kernel
 
 N = 300
 REPS = 8192  # two Monte Carlo chunks
@@ -82,6 +88,27 @@ def _series(n=N, seed=7):
 
 def _table1():
     return _digest(table1())
+
+
+# the three studentized statistics against their exact t laws, and one
+# normal sample against the normal
+def _ks():
+    parts = []
+    for kind in ("TnStar", "InStar", "WnStar"):
+        ref = make_kernel(kind, SCHEMES[kind], N).ref
+        parts.append((kind, ref.label(), ks_distance(simulate_stats(_config("iid", kind)), ref)))
+    parts.append(("normal", ks_distance(np.random.default_rng(5).standard_normal(4000), NORMAL)))
+    return _digest(parts)
+
+
+REF_DISTS = (NORMAL,) + tuple(student_t(df) for df in (1, 2, 3, 9, 19, 141))
+# dense across both signs and through 0, plus tiny, far-tail and overflowing |x|
+_REF_EDGES = np.array([5e-324, 1e-300, 1e-8, 37.6, 1e3, 1e8, 1e200])
+REF_X = np.concatenate([np.arange(-2000, 2001) * 0.01, _REF_EDGES, -_REF_EDGES])
+
+
+def _ref_scalar(fn):
+    return lambda: _digest(*[np.array([fn(d, float(x)) for x in REF_X]) for d in REF_DISTS])
 
 
 def _ci():
@@ -148,7 +175,8 @@ for _proc in PROCESSES:
     for _kind in SCHEMES:
         CASES[f"simulate-{_proc}-{_kind}"] = (lambda p=_proc, k=_kind: _simulate(p, k))
         CASES[f"tail-{_proc}-{_kind}"] = (lambda p=_proc, k=_kind: _tail(p, k))
-CASES.update(table1=_table1, ci=_ci, block_sums=_block_sums, scalars=_scalars)
+CASES.update(table1=_table1, ci=_ci, block_sums=_block_sums, scalars=_scalars, ks=_ks)
+CASES.update(ref_upper=_ref_scalar(ref_upper), ref_cdf=_ref_scalar(ref_cdf))
 CLI_CASES = {
     "cli-table1-csv": _cli(["table1"], csv_out=True),
     "cli-simulate-json": _cli(
@@ -181,6 +209,9 @@ GOLDEN = {
     "cli-simulate-json": "463437183a68d6a5331848aa0abbfced3d49e0c39e3b6128f04296942c25cb0e",
     "cli-table1-csv": "9ef71a7aae294a414a5f41644cf7138f250472ee0772158436cc49a70486dece",
     "cli-test-json": "9bb22a8589a9ed16d7dfd1ef5f91b1c25d4c27d4ee93ec3ef113beefe6074789",
+    "ks": "1fec075be4a909a4bf6483b10ec388de8338332e07bea9165752a177e0f6618c",
+    "ref_cdf": "3aab0e3c24c86e9670c0c0d0f9de785ac763be8bf9597fc108ab80fa8789a096",
+    "ref_upper": "b20e057f912756a8543e78a5dcc73b5d81aeae7a621ccfc972ee3854c24c7482",
     "scalars": "8bdee9febf488e69daa9c9ce6fff940769c2ec1d62440866124b2ffc1e47f026",
     "simulate-ar1-In": "6748c51788b68893e1aa5d1979eb8920f773968a1f9e2647b73982cdcc2bc8eb",
     "simulate-ar1-InStar": "f12876fe528e87c2185867a2c1b3a23ebbd2ca0b0112a18a19472df21c038c7e",
