@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -65,6 +66,8 @@ def parse_grid(text: str) -> list[float]:
         parts = [float(p) for p in text.split(":")]
     except ValueError:
         raise ConfigurationError(f"grid must be numbers start:stop:step, got {text!r}") from None
+    if not all(map(math.isfinite, parts)):
+        raise ConfigurationError(f"grid parts must be finite, got {text!r}")
     if len(parts) == 1:
         return parts
     if len(parts) != 3:

@@ -8,14 +8,33 @@ probabilities as small as 3e-5 and needs ten good significant digits.
 The normal CDF is evaluated through the complementary error function and
 the t CDF through the regularized incomplete beta function, computed by
 a modified Lentz continued fraction. Quantiles invert the CDFs with
-bracketed bisection refined by Newton steps. Degrees of freedom are
-integers only.
+bracketed bisection refined by Newton steps, and each (distribution, p)
+is inverted once: `ref_quantile` memoizes its results (failures are
+never cached). Degrees of freedom are integers only.
+
+Array inputs. `ref_upper` and `ref_cdf` also take an ndarray (or a list)
+and return an ndarray of the same shape; any non-finite entry raises
+`DomainError`. The array path is bit-identical to calling the scalar
+path once per element: its continued fraction runs the same recurrence
+with the same floating-point operations in the same order, one lane per
+element, and drops each lane at the step where the scalar loop would
+return. The front factor exp(lgamma terms + a log x + b log1p(-x)) and
+the normal tail's erfc are evaluated per element with `math`, not numpy:
+numpy's log, log1p and exp differ from the C library's in the last bit
+on some inputs, which would change the tails.
+
+The scalar path stays for scalar callers, above all the bisection and
+Newton steps of `ref_quantile`: there an array call of one lane costs
+tens of times a scalar one. The input type alone picks the path.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -111,6 +130,55 @@ def _beta_cont_frac(a: float, b: float, x: float) -> float:
     raise ArithmeticError(f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x})")
 
 
+def _beta_cont_frac_array(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """_beta_cont_frac for each element of x, with the same operations per lane.
+
+    A lane leaves the iteration at the step its scalar loop returns, so
+    every result is bit-identical to the scalar one.
+    """
+    tiny = 1e-300
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    out = np.empty_like(x)
+    lane = np.arange(x.size)
+    c = np.ones_like(x)
+    d = 1.0 - qab * x / qap
+    d = 1.0 / np.where(np.abs(d) < tiny, tiny, d)
+    h = d
+    for m in range(1, 801):
+        if not lane.size:
+            return out
+        m2 = 2 * m
+        # even step
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        d = np.where(np.abs(d) < tiny, tiny, d)
+        c = 1.0 + aa / c
+        c = np.where(np.abs(c) < tiny, tiny, c)
+        d = 1.0 / d
+        h = h * (d * c)
+        # odd step
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        d = np.where(np.abs(d) < tiny, tiny, d)
+        c = 1.0 + aa / c
+        c = np.where(np.abs(c) < tiny, tiny, c)
+        d = 1.0 / d
+        delta = d * c
+        h = h * delta
+        done = np.abs(delta - 1.0) < 1e-16
+        if done.any():
+            out[lane[done]] = h[done]
+            live = ~done
+            lane, x, c, d, h = lane[live], x[live], c[live], d[live], h[live]
+    if not lane.size:
+        return out
+    raise ArithmeticError(
+        f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x[0]})"
+    )
+
+
 def _reg_inc_beta(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta function I_x(a, b)."""
     if x <= 0.0:
@@ -128,6 +196,26 @@ def _reg_inc_beta(a: float, b: float, x: float) -> float:
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_cont_frac(a, b, x) / a
     return 1.0 - front * _beta_cont_frac(b, a, 1.0 - x) / b
+
+
+def _reg_inc_beta_array(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """_reg_inc_beta for each element of x, bit for bit."""
+    out = np.where(x <= 0.0, 0.0, 1.0)
+    inside = (x > 0.0) & (x < 1.0)
+    v = x[inside]
+    ln_c = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    front = np.fromiter(
+        (math.exp(ln_c + a * math.log(t) + b * math.log1p(-t)) for t in v.tolist()),
+        dtype=float,
+        count=v.size,
+    )
+    low = v < (a + 1.0) / (a + b + 2.0)
+    high = ~low
+    vals = np.empty_like(v)
+    vals[low] = front[low] * _beta_cont_frac_array(a, b, v[low]) / a
+    vals[high] = 1.0 - front[high] * _beta_cont_frac_array(b, a, 1.0 - v[high]) / b
+    out[inside] = vals
+    return out
 
 
 def _t_upper_nonneg(x: float, df: int) -> float:
@@ -164,16 +252,53 @@ def _t_pdf(x: float, df: int) -> float:
     return math.exp(ln_c - 0.5 * (df + 1) * math.log1p(x * x / df))
 
 
-def ref_cdf(dist: RefDist, x: float) -> float:
-    """Distribution function of a reference distribution."""
+def _t_upper_array(x: np.ndarray, df: int) -> np.ndarray:
+    """t_upper for each element of x, bit for bit."""
+    ax = np.abs(x)
+    upper = np.full(x.shape, 0.5)
+    nonzero = ax != 0.0
+    r = ax[nonzero]
+    with np.errstate(over="ignore"):  # r * r = inf gives x = 0, as in the scalar path
+        x_beta = df / (df + r * r)
+    upper[nonzero] = 0.5 * _reg_inc_beta_array(0.5 * df, 0.5, x_beta)
+    return np.where(x >= 0.0, upper, 1.0 - upper)
+
+
+def _normal_upper_array(x: np.ndarray) -> np.ndarray:
+    """normal_upper for each element of x, bit for bit."""
+    z = x / _SQRT2
+    return 0.5 * np.fromiter(map(math.erfc, z.tolist()), dtype=float, count=z.size)
+
+
+def _is_array(x) -> bool:
+    return isinstance(x, (np.ndarray, list, tuple))
+
+
+def ref_cdf(dist: RefDist, x):
+    """Distribution function of a reference distribution.
+
+    A scalar x gives a float; an array (or list) gives an ndarray of its shape.
+    """
+    if _is_array(x):
+        return ref_upper(dist, -np.asarray(x, dtype=float))
     return ref_upper(dist, -_require_finite(x))
 
 
-def ref_upper(dist: RefDist, x: float) -> float:
-    """Upper tail probability P(X >= x) of a reference distribution."""
-    if dist.is_normal:
-        return normal_upper(x)
-    return t_upper(x, dist.df)
+def ref_upper(dist: RefDist, x):
+    """Upper tail probability P(X >= x) of a reference distribution.
+
+    A scalar x gives a float; an array (or list) gives an ndarray of its
+    shape, bit-identical to the scalar path applied per element.
+    """
+    if not _is_array(x):
+        return normal_upper(x) if dist.is_normal else t_upper(x, dist.df)
+    x = np.asarray(x, dtype=float)
+    bad = x[~np.isfinite(x)]
+    if bad.size:
+        raise DomainError(f"argument must be finite, got {bad[0]!r}")
+    flat = x.ravel()
+    upper = _normal_upper_array(flat) if dist.is_normal else _t_upper_array(flat, dist.df)
+    return upper.reshape(x.shape)
 
 
 def _ref_pdf(dist: RefDist, x: float) -> float:
@@ -182,16 +307,25 @@ def _ref_pdf(dist: RefDist, x: float) -> float:
     return _t_pdf(x, dist.df)
 
 
+_QUANTILE_CACHE_SIZE = 256
+
+
 def ref_quantile(dist: RefDist, p: float) -> float:
     """Quantile of a reference distribution.
 
     Brackets the root, bisects until the interval is small, then runs
     Newton steps on the CDF; any Newton step that leaves the bracket or
-    misbehaves falls back to a bisection step.
+    misbehaves falls back to a bisection step. Results are memoized per
+    (dist, p); a bad p raises on every call.
     """
     p = float(p)
     if not (0.0 < p < 1.0) or not math.isfinite(p):
         raise DomainError(f"probability must lie strictly in (0, 1), got {p!r}")
+    return _invert(dist, p)
+
+
+@functools.lru_cache(maxsize=_QUANTILE_CACHE_SIZE)
+def _invert(dist: RefDist, p: float) -> float:
     if p == 0.5:
         return 0.0
 

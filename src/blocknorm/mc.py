@@ -19,13 +19,14 @@ rejected before any path is drawn.
 from __future__ import annotations
 
 import dataclasses
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .dist import RefDist, normal_upper, ref_cdf, ref_upper, t_upper
+from .dist import NORMAL, RefDist, ref_cdf, ref_upper, student_t
 from .errors import ConfigurationError, DataError, DegenerateRateError, DomainError
 from .procgen import RNG_ALGORITHM, ProcessSpec, Seed, derive_rep_seed, generate_paths
 from .stats import STAT_FLAG_BY_KIND, StatKernel, make_kernel
@@ -57,6 +58,10 @@ class SimConfig:
         object.__setattr__(self, "x_grid", tuple(float(x) for x in self.x_grid))
         if self.reps < 1:
             raise ConfigurationError(f"need reps >= 1, got {self.reps}")
+        if not 0 <= self.master_seed < 2**64:
+            raise ConfigurationError(f"master seed must be a 64-bit unsigned integer, got {self.master_seed}")
+        if not math.isfinite(self.mu0):
+            raise ConfigurationError(f"mu0 must be finite, got {self.mu0}")
         if len(self.x_grid) < 1:
             raise ConfigurationError("x_grid must be nonempty")
         grid = np.asarray(self.x_grid, dtype=float)
@@ -173,7 +178,7 @@ def estimate_tail(config: SimConfig, workers: int = 1) -> TailTable:
     kernel = make_kernel(config.stat_kind, config.scheme, config.n)
     ref = config.ref if config.ref is not None else kernel.ref
     grid = np.asarray(config.x_grid, dtype=float)
-    ref_tail = np.array([ref_upper(ref, x) for x in grid])
+    ref_tail = ref_upper(ref, grid)
     underflow = grid[ref_tail < np.finfo(float).tiny]
     if underflow.size:
         raise DomainError(
@@ -212,12 +217,16 @@ def ratio_grid(config: SimConfig, params: Sequence[float], workers: int = 1) -> 
 
 
 def ks_distance(sample, ref: RefDist) -> float:
-    """Sup distance between the empirical CDF of the sample and ref's CDF."""
+    """Sup distance between the empirical CDF of the sample and ref's CDF.
+
+    ref's CDF is evaluated in one array call over the sorted sample; a
+    non-finite sample value raises DomainError.
+    """
     s = np.sort(np.asarray(sample, dtype=float))
     n = s.size
     if n < 1:
         raise DataError("sample must be nonempty")
-    cdf = np.array([ref_cdf(ref, v) for v in s])
+    cdf = ref_cdf(ref, s)
     steps = np.arange(1, n + 1) / n
     return float(max((steps - cdf).max(), (cdf - steps + 1.0 / n).max()))
 
@@ -228,11 +237,12 @@ def table1(x_grid: Sequence[float] = DEFAULT_X_GRID) -> np.ndarray:
     Returns a (len(x_grid), 5) array in full precision with columns
     TABLE1_COLUMNS; the CSV writer rounds to five decimals.
     """
-    rows = []
-    for x in x_grid:
-        nu = normal_upper(x)
-        rows.append((x, nu, t_upper(x, 19), t_upper(x, 9), t_upper(x, 9) / nu))
-    return np.array(rows)
+    x = np.asarray(x_grid, dtype=float)
+    nu = ref_upper(NORMAL, x)
+    if not nu.all():
+        raise DomainError(f"the normal upper tail is 0 at x = {x[nu == 0.0][0]:g}, so t9/normal is undefined")
+    t9 = ref_upper(student_t(9), x)
+    return np.column_stack([x, nu, ref_upper(student_t(19), x), t9, t9 / nu])
 
 
 def table1_csv(x_grid: Sequence[float] = DEFAULT_X_GRID) -> str:

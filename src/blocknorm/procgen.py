@@ -108,7 +108,7 @@ class AR1:
 
 @dataclass(frozen=True)
 class ARCH1:
-    """U_i = sqrt(a^2 + b^2 * U_{i-1}^2) * eps_i with a > 0 and 0 <= b < 1.
+    """U_i = sqrt(a^2 + b^2 * U_{i-1}^2) * eps_i with finite a > 0 and 0 <= b < 1.
 
     The statistics downstream are scale-free, so a only sets the units;
     it defaults to 1.
@@ -119,8 +119,8 @@ class ARCH1:
     a: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.a > 0.0:
-            raise ConfigurationError(f"ARCH(1) needs a > 0, got a={self.a}")
+        if not 0.0 < self.a < math.inf:
+            raise ConfigurationError(f"ARCH(1) needs a finite a > 0, got a={self.a}")
         if not 0.0 <= self.b < 1.0:
             raise ConfigurationError(f"ARCH(1) needs 0 <= b < 1, got b={self.b}")
 

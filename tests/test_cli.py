@@ -36,6 +36,9 @@ class TestGridParsing:
             parse_grid("3:1:0.5")
         with pytest.raises(ConfigurationError):
             parse_grid("1:two:0.5")
+        for text in ("1:nan:1", "nan:2:1", "1:2:nan", "0:nan:0.1", "1:inf:1", "-inf:1:1", "1:2:inf", "nan"):
+            with pytest.raises(ConfigurationError, match="finite"):
+                parse_grid(text)
 
 
 class TestTable1Command:
@@ -198,6 +201,51 @@ class TestSimulateCommand:
         )
         assert code == 1
         assert "2:lots:1" in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--process", "iid", "--x", "1:nan:1"],
+        ["--process", "iid", "--x", "1:inf:1"],
+        ["--process", "ar1", "--rho-grid", "0:nan:0.1"],
+    ])
+    def test_non_finite_grid_part_is_a_configuration_error(self, capsys, flags):
+        code, out, err = _run(
+            capsys, "simulate", *flags, "--stat", "i-star", "--m", "10", "--n", "100", "--reps", "10",
+        )
+        assert (code, out) == (1, "")
+        assert "configuration error" in err and flags[-1] in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--process", "iid", "--mu0", "nan"],
+        ["--process", "iid", "--mu0", "inf"],
+        ["--process", "iid", "--mu0=-inf"],
+        ["--process", "arch1", "--b", "0.5", "--a", "inf"],
+        ["--process", "arch1", "--b", "0.5", "--a", "nan"],
+    ])
+    def test_non_finite_simulate_flag_is_a_configuration_error(self, capsys, flags):
+        code, out, err = _run(
+            capsys, "simulate", *flags, "--stat", "i-star", "--m", "10", "--n", "100", "--reps", "10",
+        )
+        assert (code, out) == (1, "")
+        assert "configuration error" in err and "finite" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**65 - 1)])
+    def test_seed_outside_64_bits_is_a_configuration_error(self, capsys, seed):
+        code, out, err = _run(
+            capsys, "simulate", "--process", "iid", "--stat", "i-star", "--m", "10",
+            "--n", "100", "--reps", "10", "--seed", seed,
+        )
+        assert (code, out) == (1, "")
+        assert "configuration error" in err and "64-bit" in err
+
+    def test_largest_seed_is_accepted(self, capsys):
+        code, out, _ = _run(
+            capsys, "simulate", "--process", "iid", "--stat", "i-star", "--m", "10",
+            "--n", "100", "--reps", "10", "--seed", str(2**64 - 1), "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["manifest"]["master_seed"] == 2**64 - 1
 
     def test_underflowing_reference_tail_is_a_configuration_error(self, capsys):
         # k = 5 interlaced sums: the t5 tail at 1e70 is about 1e-350, below double range

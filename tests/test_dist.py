@@ -2,8 +2,9 @@
 
 The frozen 25-row tail table is the primary known-answer oracle; on top
 of that the CDFs are checked against independent routes (closed forms
-for 1 and 2 degrees of freedom, Simpson quadrature of the densities)
-and the quantiles against a plain bisection oracle.
+for 1 and 2 degrees of freedom, Simpson quadrature of the densities,
+scipy when it is installed) and the quantiles against a plain bisection
+oracle. The array path is checked bit for bit against the scalar one.
 """
 
 import math
@@ -11,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from blocknorm import dist
 from blocknorm.dist import (
     NORMAL,
     RefDist,
@@ -191,3 +193,102 @@ class TestDomainErrors:
         qs = [ref_quantile(student_t(9), p) for p in (0.05, 0.3, 0.5, 0.8, 0.99)]
         assert qs == sorted(qs)
         assert ref_quantile(NORMAL, 0.97725) == pytest.approx(2.0, abs=1e-4)
+
+
+ARRAY_DISTS = [NORMAL, student_t(1), student_t(2), student_t(9), student_t(19), student_t(141), student_t(100_000)]
+# both signs, exact zeros, subnormal and tiny |x| (x * x underflows), both
+# continued-fraction branches, and |x| large enough that x * x overflows
+_EDGES = [0.0, -0.0, 5e-324, 1e-300, 1e-160, 1e-8, 0.5, 1.5, 3.0, 37.6, 1e3, 1e8, 1e154, 1e200]
+ARRAY_X = np.concatenate([
+    np.arange(-3000, 3001) * 0.01,
+    np.random.default_rng(4).standard_cauchy(2000),
+    _EDGES,
+    [-v for v in _EDGES],
+])
+
+
+def _scalar_loop(fn, d, xs):
+    return np.array([fn(d, float(x)) for x in xs])
+
+
+class TestArrayPath:
+    @pytest.mark.parametrize("d", ARRAY_DISTS, ids=lambda d: d.label())
+    def test_bit_identical_to_scalar_loop(self, d):
+        assert np.array_equal(ref_upper(d, ARRAY_X), _scalar_loop(ref_upper, d, ARRAY_X))
+        assert np.array_equal(ref_cdf(d, ARRAY_X), _scalar_loop(ref_cdf, d, ARRAY_X))
+
+    @pytest.mark.parametrize("df", [1, 2, 9, 19, 141])
+    def test_grid_reaches_both_continued_fraction_branches(self, df):
+        r = np.abs(ARRAY_X[ARRAY_X != 0.0])
+        with np.errstate(over="ignore"):
+            x_beta = df / (df + r * r)
+        a = 0.5 * df
+        inside = x_beta[(x_beta > 0.0) & (x_beta < 1.0)]
+        low = inside < (a + 1.0) / (a + 0.5 + 2.0)
+        assert low.any() and (~low).any()
+        # and the lanes that skip it: x = 0, x * x underflowing, x * x overflowing
+        assert (x_beta == 1.0).any() and (x_beta == 0.0).any()
+
+    @pytest.mark.parametrize("d", [NORMAL, student_t(9)], ids=lambda d: d.label())
+    def test_shapes(self, d):
+        empty = ref_upper(d, np.array([]))
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,) and empty.dtype == float
+        assert ref_cdf(d, []).shape == (0,)
+        zero_d = ref_upper(d, np.array(1.5))
+        assert isinstance(zero_d, np.ndarray) and zero_d.shape == ()
+        assert zero_d == ref_upper(d, 1.5)
+        listed = ref_cdf(d, [-1.0, 0.0, 2.5])
+        assert isinstance(listed, np.ndarray)
+        assert listed.tolist() == [ref_cdf(d, -1.0), ref_cdf(d, 0.0), ref_cdf(d, 2.5)]
+        grid = np.linspace(-4.0, 4.0, 12).reshape(3, 4)
+        assert np.array_equal(ref_upper(d, grid), ref_upper(d, grid.ravel()).reshape(3, 4))
+
+    @pytest.mark.parametrize("d", [NORMAL, student_t(9)], ids=lambda d: d.label())
+    def test_scalar_input_keeps_the_scalar_path(self, d):
+        for x in (1.5, 2, np.float64(1.5)):
+            assert type(ref_upper(d, x)) is float
+            assert type(ref_cdf(d, x)) is float
+
+    @pytest.mark.parametrize("d", [NORMAL, student_t(9)], ids=lambda d: d.label())
+    def test_non_finite_entries_raise(self, d):
+        for bad in (math.nan, math.inf, -math.inf):
+            for fn in (ref_upper, ref_cdf):
+                with pytest.raises(DomainError):
+                    fn(d, np.array([0.0, 1.0, bad]))
+                with pytest.raises(DomainError):
+                    fn(d, [[bad]])
+
+
+class TestScipyOracle:
+    @pytest.mark.parametrize("df", range(1, 20))
+    def test_t_upper_tail_against_scipy(self, df):
+        stats = pytest.importorskip("scipy.stats")
+        x = np.linspace(0.1, 20.0, 400)
+        # 5e-14, not 5e-15: from df = 5 up the tail loses about a digit near
+        # x = 1.5 (worst 2.7e-14 on this grid, df 12; mpmath puts the error
+        # here, scipy is within 1.4e-15). Mending it changes every t tail.
+        np.testing.assert_allclose(ref_upper(student_t(df), x), stats.t.sf(x, df), rtol=5e-14, atol=0.0)
+
+
+class TestQuantileMemo:
+    @pytest.mark.parametrize("d", [NORMAL, student_t(9), student_t(141)], ids=lambda d: d.label())
+    def test_memoized_value_equals_fresh_inversion(self, d):
+        for p in (0.5, 0.975, 1.0 - 0.05 / 40, 1e-6):
+            first = ref_quantile(d, p)
+            assert ref_quantile(d, p) == first
+            assert first == dist._invert.__wrapped__(d, p)
+
+    def test_repeat_calls_hit_the_cache(self):
+        d = student_t(141)
+        ref_quantile(d, 0.999)
+        hits = dist._invert.cache_info().hits
+        for _ in range(5):
+            ref_quantile(d, 0.999)
+        assert dist._invert.cache_info().hits == hits + 5
+        assert dist._invert.cache_info().maxsize == dist._QUANTILE_CACHE_SIZE
+
+    def test_bad_probability_raises_on_every_call(self):
+        for _ in range(3):
+            for p in (0.0, 1.0, math.nan, 2.0):
+                with pytest.raises(DomainError):
+                    ref_quantile(student_t(9), p)

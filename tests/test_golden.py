@@ -252,6 +252,12 @@ def test_digest(name):
     assert CASES[name]() == GOLDEN[name]
 
 
+@pytest.mark.parametrize("fn", [ref_upper, ref_cdf], ids=lambda f: f.__name__)
+def test_array_path_reproduces_scalar_digest(fn):
+    # one array call per distribution gives the bytes of the scalar loop
+    assert _digest(*[fn(d, REF_X) for d in REF_DISTS]) == GOLDEN[fn.__name__]
+
+
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_cli_digest(name, capsys):
     assert CLI_CASES[name](capsys) == GOLDEN[name]

@@ -7,7 +7,7 @@ import pytest
 
 import blocknorm.mc as mc
 from blocknorm.blocks import Batch, BigSmall, Interlace
-from blocknorm.dist import NORMAL, ref_quantile, student_t
+from blocknorm.dist import NORMAL, normal_upper, ref_cdf, ref_quantile, student_t, t_upper
 from blocknorm.errors import ConfigurationError, DataError, DegenerateRateError, DomainError
 from blocknorm.mc import (
     DEFAULT_X_GRID,
@@ -51,6 +51,17 @@ class TestConfigValidation:
     def test_stat_scheme_mismatch(self):
         with pytest.raises(ConfigurationError):
             _config(scheme=BigSmall(5, 2))
+
+    def test_mu0_must_be_finite(self):
+        for mu0 in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ConfigurationError, match="mu0"):
+                _config(mu0=mu0)
+
+    def test_master_seed_must_fit_64_bits(self):
+        for seed in (-1, 2**64, 2**65 - 1):
+            with pytest.raises(ConfigurationError, match="64-bit"):
+                _config(master_seed=seed)
+        assert _config(master_seed=2**64 - 1).master_seed == 2**64 - 1
 
     def test_workers_positive(self):
         with pytest.raises(ConfigurationError):
@@ -203,6 +214,21 @@ class TestKSDistance:
         with pytest.raises(DataError):
             ks_distance([], NORMAL)
 
+    @pytest.mark.parametrize("dist", [NORMAL, student_t(9), student_t(141)], ids=lambda d: d.label())
+    def test_equals_scalar_cdf_loop(self, dist):
+        sample = np.sort(np.random.default_rng(8).standard_t(9, 3000))
+        n = sample.size
+        cdf = np.array([ref_cdf(dist, float(v)) for v in sample])
+        steps = np.arange(1, n + 1) / n
+        expected = float(max((steps - cdf).max(), (cdf - steps + 1.0 / n).max()))
+        assert ks_distance(sample[::-1], dist) == expected
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_value_raises(self, bad):
+        for dist in (NORMAL, student_t(9)):
+            with pytest.raises(DomainError):
+                ks_distance([0.1, bad, -0.3], dist)
+
 
 class TestTable1:
     def test_shape_and_spot_rows(self):
@@ -215,6 +241,15 @@ class TestTable1:
         np.testing.assert_allclose(
             by_x[1.6][1:3], (0.05480, 0.06305), atol=5.1e-6
         )
+
+    def test_columns_equal_the_scalar_tails(self):
+        xs = (0.0, 0.7, 1.6, 2.55, 4.0, 9.5)
+        expected = [(x, normal_upper(x), t_upper(x, 19), t_upper(x, 9), t_upper(x, 9) / normal_upper(x)) for x in xs]
+        assert np.array_equal(table1(xs), np.array(expected))
+
+    def test_vanishing_normal_tail_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="normal upper tail is 0"):
+            table1((2.0, 40.0))
 
     def test_csv_rounding(self):
         lines = table1_csv().strip().splitlines()

@@ -263,6 +263,9 @@ class TestParameterValidation:
             ARCH1(b=-0.1)
         with pytest.raises(ConfigurationError):
             ARCH1(b=0.5, a=0.0)
+        for a in (float("inf"), float("nan")):
+            with pytest.raises(ConfigurationError, match="finite"):
+                ARCH1(b=0.5, a=a)
 
     def test_hd_linear_ranges(self):
         with pytest.raises(ConfigurationError):
