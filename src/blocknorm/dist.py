@@ -172,11 +172,9 @@ def _beta_cont_frac_array(a: float, b: float, x: np.ndarray) -> np.ndarray:
             out[lane[done]] = h[done]
             live = ~done
             lane, x, c, d, h = lane[live], x[live], c[live], d[live], h[live]
-    if not lane.size:
-        return out
-    raise ArithmeticError(
-        f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x[0]})"
-    )
+    if lane.size:
+        raise ArithmeticError(f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x[0]})")
+    return out
 
 
 def _reg_inc_beta(a: float, b: float, x: float) -> float:

@@ -240,7 +240,9 @@ def table1(x_grid: Sequence[float] = DEFAULT_X_GRID) -> np.ndarray:
     x = np.asarray(x_grid, dtype=float)
     nu = ref_upper(NORMAL, x)
     if not nu.all():
-        raise DomainError(f"the normal upper tail is 0 at x = {x[nu == 0.0][0]:g}, so t9/normal is undefined")
+        raise DomainError(
+            f"the normal upper tail is 0 at x = {x[nu == 0.0][0]:g}, so t9/normal is undefined"
+        )
     t9 = ref_upper(student_t(9), x)
     return np.column_stack([x, nu, ref_upper(student_t(19), x), t9, t9 / nu])
 

@@ -244,7 +244,9 @@ class TestTable1:
 
     def test_columns_equal_the_scalar_tails(self):
         xs = (0.0, 0.7, 1.6, 2.55, 4.0, 9.5)
-        expected = [(x, normal_upper(x), t_upper(x, 19), t_upper(x, 9), t_upper(x, 9) / normal_upper(x)) for x in xs]
+        expected = [
+            (x, normal_upper(x), t_upper(x, 19), t_upper(x, 9), t_upper(x, 9) / normal_upper(x)) for x in xs
+        ]
         assert np.array_equal(table1(xs), np.array(expected))
 
     def test_vanishing_normal_tail_is_a_domain_error(self):
