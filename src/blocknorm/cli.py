@@ -12,9 +12,11 @@ algorithm, library version, wall-clock duration): JSON outputs embed
 it, file CSV outputs get a ``<path>.manifest.json`` sidecar, and CSV on
 stdout prints it to stderr.
 
-Flag values beat config-file values beat defaults; the config file
-(``--config``) holds flat ``key = value`` lines whose keys must be long
-flag names of some subcommand. The worker count falls back to the
+The parser alone states each option's type, default and choices. A
+``--config`` file of flat ``key = value`` lines (keys: long flag names of
+any subcommand) is parsed as ``--key=value`` tokens ahead of the command
+line, so flags beat file values beat defaults. Every usage mistake is a
+configuration error. The worker count falls back to the
 BLOCKNORM_WORKERS environment variable and never affects the numbers,
 only the schedule.
 """
@@ -36,6 +38,7 @@ from . import __version__
 from .errors import BlocknormError, ConfigurationError, DataError, DomainError
 from .mc import (
     DEFAULT_REPS,
+    DEFAULT_X_GRID,
     SimConfig,
     estimate_tail,
     ratio_grid,
@@ -53,11 +56,13 @@ from .stats import SCHEME_BY_KIND, STAT_KIND_BY_FLAG
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors mapped to exit code 1."""
+    """argparse whose usage errors are configuration errors (exit 1)."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        raise ConfigurationError(message)
+
+
+MAX_GRID_POINTS = 100_000  # parse_grid rejects grids with more points
 
 
 def parse_grid(text: str) -> list[float]:
@@ -77,8 +82,10 @@ def parse_grid(text: str) -> list[float]:
         raise ConfigurationError(f"grid step must be positive, got {step}")
     if stop < start - 1e-9:
         raise ConfigurationError(f"grid stop {stop} is below start {start}")
-    count = int((stop - start) / step + 1e-9) + 1
-    return [round(start + i * step, 12) for i in range(count)]
+    span = (stop - start) / step + 1e-9  # inf when the quotient overflows
+    if span >= MAX_GRID_POINTS:
+        raise ConfigurationError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+    return [round(start + i * step, 12) for i in range(int(span) + 1)]
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -102,47 +109,30 @@ _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
 
-class _Opts:
-    """Flag > config file > default resolution for one subcommand."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.file = _read_config_file(args.config) if getattr(args, "config", None) else {}
-        unknown = sorted(set(self.file) - args.config_keys)
-        if unknown:
-            raise ConfigurationError(f"{args.config}: unknown key {', '.join(unknown)} (not a long flag)")
-
-    def get(self, name: str, cast, default=None):
-        value = getattr(self.args, name.replace("-", "_"), None)
-        if value is not None:
-            return value
-        if name in self.file:
-            return _cast(name, self.file[name], cast)
-        return default
-
-
-def _cast(name: str, text: str, cast):
-    """Convert a config-file or environment value; name it when it does not parse."""
-    if cast is bool:
-        if text.lower() in _TRUE:
-            return True
-        if text.lower() in _FALSE:
-            return False
-    else:
-        try:
-            return cast(text)
-        except ValueError:
-            pass
-    raise ConfigurationError(f"{name} = {text!r} is not a valid {cast.__name__}")
+def _config_tokens(path: str, command: str, options: dict[str, dict[str, argparse.Action]]) -> list[str]:
+    """The file's keys for command as tokens; other subcommands' keys are dropped."""
+    entries = _read_config_file(path)
+    unknown = sorted(set(entries).difference(*options.values()))
+    if unknown:
+        raise ConfigurationError(f"{path}: unknown key {', '.join(unknown)} (not a long flag)")
+    tokens = []
+    for key, value in entries.items():
+        action = options[command].get(key)
+        if isinstance(action, argparse.BooleanOptionalAction):
+            if value.lower() not in _TRUE | _FALSE:
+                raise ConfigurationError(f"{key} = {value!r} is not a valid bool")
+            tokens.append(f"--{key}" if value.lower() in _TRUE else f"--no-{key}")
+        elif action is not None:
+            tokens.append(f"--{key}={value}")  # '=' keeps values such as -1:1:0.5 whole
+    return tokens
 
 
-def _workers(opts: _Opts) -> int:
-    env = os.environ.get("BLOCKNORM_WORKERS")
-    default = _cast("BLOCKNORM_WORKERS", env, int) if env else 1
-    workers = opts.get("workers", int, default)
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    return workers
+def _workers(args: argparse.Namespace) -> int:
+    env = os.environ.get("BLOCKNORM_WORKERS") or "1"
+    try:
+        return int(env) if args.workers is None else args.workers
+    except ValueError:
+        raise ConfigurationError(f"BLOCKNORM_WORKERS = {env!r} is not a valid int") from None
 
 
 def _manifest(argv: list[str], config: dict, master_seed, started: float) -> dict:
@@ -156,54 +146,48 @@ def _manifest(argv: list[str], config: dict, master_seed, started: float) -> dic
     }
 
 
-def _emit_csv(path: str, text: str, manifest: dict) -> None:
-    payload = json.dumps(manifest, indent=2) + "\n"
+def _write(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
-        sys.stderr.write(payload)
     else:
         with open(path, "w") as fh:
             fh.write(text)
-        with open(path + ".manifest.json", "w") as fh:
-            fh.write(payload)
+
+
+def _emit_csv(path: str, text: str, manifest: dict) -> None:
+    _write(path, text)
+    payload = json.dumps(manifest, indent=2) + "\n"
+    if path == "-":
+        sys.stderr.write(payload)
+    else:
+        _write(path + ".manifest.json", payload)
 
 
 def _emit_json(path: str, payload: dict) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    _write(path, json.dumps(payload, indent=2) + "\n")
 
 
 def _cmd_table1(args: argparse.Namespace, argv: list[str]) -> int:
     started = time.monotonic()
-    opts = _Opts(args)
-    output = opts.get("output", str, "-")
-    text = table1_csv()
-    _emit_csv(output, text, _manifest(argv, {"output": output}, None, started))
+    _emit_csv(args.output, table1_csv(), _manifest(argv, {"output": args.output}, None, started))
     return 0
 
 
 PROCESS_BY_NAME = {"iid": IIDNormal, "ar1": AR1, "arch1": ARCH1}
 
 
-def _build_process(opts: _Opts):
+def _build_process(args: argparse.Namespace):
     """The process and, for a grid run, the values of its grid parameter."""
-    name = opts.get("process", str)
-    if name is None:
+    if args.process is None:
         raise ConfigurationError("simulate needs --process (iid, ar1 or arch1)")
-    if name not in PROCESS_BY_NAME:
-        raise ConfigurationError(f"unknown process {name!r} (expected iid, ar1 or arch1)")
-    cls = PROCESS_BY_NAME[name]
+    cls = PROCESS_BY_NAME[args.process]
     fields = [f.name for f in dataclasses.fields(cls)]
     for flag in ("rho", "rho-grid", "b", "b-grid", "a"):
-        if flag.removesuffix("-grid") not in fields and opts.get(flag, str) is not None:
-            raise ConfigurationError(f"--{flag} does not apply to the {name} process")
-    params = {f: v for f in fields if (v := opts.get(f, float)) is not None}
+        if flag.removesuffix("-grid") not in fields and getattr(args, flag.replace("-", "_")) is not None:
+            raise ConfigurationError(f"--{flag} does not apply to the {args.process} process")
+    params = {f: v for f in fields if (v := getattr(args, f)) is not None}
     param = getattr(cls, "param", None)
-    grid = opts.get(f"{param}-grid", str) if param else None
+    grid = getattr(args, f"{param}_grid") if param else None
     if grid is not None and param in params:
         raise ConfigurationError(f"give either --{param} or --{param}-grid, not both")
     if param:
@@ -211,53 +195,39 @@ def _build_process(opts: _Opts):
     return cls(**params), (None if grid is None else parse_grid(grid))
 
 
-def _build_scheme(opts: _Opts, stat_kind: str):
-    m = opts.get("m", int)
-    m1 = opts.get("m1", int)
-    m2 = opts.get("m2", int)
+def _build_scheme(args: argparse.Namespace, stat_kind: str):
     if SCHEME_BY_KIND[stat_kind] is BigSmall:
-        if m is not None:
+        if args.m is not None:
             raise ConfigurationError("--m does not apply to the big-small statistics; use --m1/--m2")
-        if m1 is None or m2 is None:
+        if args.m1 is None or args.m2 is None:
             raise ConfigurationError("big-small statistics need --m1 and --m2")
-        return BigSmall(m1, m2)
-    if m1 is not None or m2 is not None:
+        return BigSmall(args.m1, args.m2)
+    if args.m1 is not None or args.m2 is not None:
         raise ConfigurationError("--m1/--m2 only apply to the big-small statistics; use --m")
-    if m is None:
+    if args.m is None:
         raise ConfigurationError("this statistic needs a block length --m")
-    return SCHEME_BY_KIND[stat_kind](m)
+    return SCHEME_BY_KIND[stat_kind](args.m)
 
 
 def _cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
     started = time.monotonic()
-    opts = _Opts(args)
-
-    stat_flag = opts.get("stat", str)
-    if stat_flag is None:
+    if args.stat is None:
         raise ConfigurationError("simulate needs --stat (w, w-star, i, i-star or t-star)")
-    if stat_flag not in STAT_KIND_BY_FLAG:
-        raise ConfigurationError(
-            f"unknown statistic {stat_flag!r} (expected one of {', '.join(sorted(STAT_KIND_BY_FLAG))})"
-        )
-    stat_kind = STAT_KIND_BY_FLAG[stat_flag]
+    stat_kind = STAT_KIND_BY_FLAG[args.stat]
 
-    process, param_grid = _build_process(opts)
-    scheme = _build_scheme(opts, stat_kind)
+    process, param_grid = _build_process(args)
+    scheme = _build_scheme(args, stat_kind)
     config = SimConfig(
         process=process,
-        n=opts.get("n", int, 1000),
+        n=args.n,
         scheme=scheme,
         stat_kind=stat_kind,
-        reps=opts.get("reps", int, DEFAULT_REPS),
-        master_seed=opts.get("seed", int, 0),
-        x_grid=tuple(parse_grid(opts.get("x", str, "1.6:4.0:0.1"))),
-        mu0=opts.get("mu0", float, 0.0),
+        reps=args.reps,
+        master_seed=args.seed,
+        x_grid=DEFAULT_X_GRID if args.x is None else tuple(parse_grid(args.x)),
+        mu0=args.mu0,
     )
-    workers = _workers(opts)
-    output = opts.get("output", str, "-")
-    fmt = opts.get("format", str, "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigurationError(f"unknown format {fmt!r} (expected csv or json)")
+    workers = _workers(args)
 
     if param_grid is not None:
         grid = ratio_grid(config, param_grid, workers=workers)
@@ -269,41 +239,34 @@ def _cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
         payload = tail_table_payload(table)
 
     manifest = _manifest(argv, run_metadata(config), config.master_seed, started)
-    if fmt == "csv":
-        _emit_csv(output, csv_text, manifest)
+    if args.format == "csv":
+        _emit_csv(args.output, csv_text, manifest)
     else:
         payload["manifest"] = manifest
-        _emit_json(output, payload)
+        _emit_json(args.output, payload)
     return 0
 
 
-def _parse_m(opts: _Opts) -> int | None:
-    m = opts.get("m", str, "auto")
-    if m == "auto":
+def _block_length(text: str) -> int | None:
+    """An argparse type for ci/test --m: an integer, or None for auto."""
+    if text == "auto":
         return None
     try:
-        return int(m)
+        return int(text)
     except ValueError:
-        raise ConfigurationError(f"--m must be an integer or 'auto', got {m!r}") from None
+        raise argparse.ArgumentTypeError(f"must be an integer or 'auto', got {text!r}") from None
 
 
 def _cmd_ci(args: argparse.Namespace, argv: list[str]) -> int:
     started = time.monotonic()
-    opts = _Opts(args)
     panel = read_panel_csv(args.input)
-    alpha = opts.get("alpha", float, 0.05)
-    use_t = opts.get("use-t", bool, True)
-    ci = simultaneous_ci(panel, alpha=alpha, m=_parse_m(opts), use_t=use_t)
+    ci = simultaneous_ci(panel, alpha=args.alpha, m=args.m, use_t=args.use_t)
 
-    output = opts.get("output", str, "-")
-    config = {"input": args.input, "alpha": alpha, "m": ci.m, "use_t": use_t}
+    config = {"input": args.input, "alpha": args.alpha, "m": ci.m, "use_t": args.use_t}
     payload = {"manifest": _manifest(argv, config, None, started), "ci": ci.as_dict()}
-    _emit_json(output, payload)
-    table = ci_text_table(ci)
-    if output == "-":
-        sys.stderr.write(table)
-    else:
-        sys.stdout.write(table)
+    _emit_json(args.output, payload)
+    # the table goes wherever the JSON does not
+    (sys.stderr if args.output == "-" else sys.stdout).write(ci_text_table(ci))
     return 0
 
 
@@ -319,23 +282,19 @@ def _read_mu0(path: str, p: int) -> np.ndarray:
 
 def _cmd_test(args: argparse.Namespace, argv: list[str]) -> int:
     started = time.monotonic()
-    opts = _Opts(args)
     panel = read_panel_csv(args.input)
     mu0 = _read_mu0(args.mu0, panel.shape[1])
-    alpha = opts.get("alpha", float, 0.05)
-    use_t = opts.get("use-t", bool, True)
-    result = mean_test(panel, mu0, alpha=alpha, m=_parse_m(opts), use_t=use_t)
+    result = mean_test(panel, mu0, alpha=args.alpha, m=args.m, use_t=args.use_t)
 
-    output = opts.get("output", str, "-")
-    config = {"input": args.input, "mu0": args.mu0, "alpha": alpha, "use_t": use_t}
+    config = {"input": args.input, "mu0": args.mu0, "alpha": args.alpha, "use_t": args.use_t}
     payload = {"manifest": _manifest(argv, config, None, started), "test": result.as_dict()}
-    _emit_json(output, payload)
+    _emit_json(args.output, payload)
     # the decision is payload, not exit status
     return 0
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--output", "-o", help="output path, or - for stdout (default)")
+    sub.add_argument("--output", "-o", default="-", help="output path, or - for stdout (default %(default)s)")
     sub.add_argument("--config", help="flat key = value file mirroring the long flag names")
 
 
@@ -350,48 +309,46 @@ def build_parser() -> _Parser:
 
     p = commands.add_parser("simulate", help="Monte Carlo tail estimation / ratio grids")
     _add_common(p)
-    p.add_argument("--process", choices=["iid", "ar1", "arch1"], help="path generator")
+    p.add_argument("--process", choices=list(PROCESS_BY_NAME), help="path generator")
     p.add_argument("--rho", type=float, help="AR(1) coefficient")
     p.add_argument("--rho-grid", help="AR(1) coefficient grid start:stop:step")
     p.add_argument("--b", type=float, help="ARCH(1) coefficient")
     p.add_argument("--b-grid", help="ARCH(1) coefficient grid start:stop:step")
-    p.add_argument("--a", type=float, help="ARCH(1) scale (default 1)")
-    p.add_argument("--n", type=int, help="path length (default 1000)")
-    p.add_argument("--stat", help="statistic: w, w-star, i, i-star or t-star")
+    p.add_argument("--a", type=float, help=f"ARCH(1) scale (default {ARCH1.a:g})")
+    p.add_argument("--n", type=int, default=1000, help="path length (default %(default)s)")
+    p.add_argument("--stat", choices=list(STAT_KIND_BY_FLAG), help="statistic")
     p.add_argument("--m", type=int, help="block length for i, i-star and t-star")
     p.add_argument("--m1", type=int, help="big block length for w and w-star")
     p.add_argument("--m2", type=int, help="small block length for w and w-star")
-    p.add_argument("--mu0", type=float, help="hypothesized per-observation mean (default 0)")
-    p.add_argument("--reps", type=int, help=f"replications (default {DEFAULT_REPS})")
-    p.add_argument("--seed", type=int, help="64-bit master seed (default 0)")
-    p.add_argument("--x", help="threshold grid start:stop:step (default 1.6:4.0:0.1)")
-    p.add_argument("--format", choices=["csv", "json"], help="output format (default csv)")
-    p.add_argument("--workers", type=int, help="worker threads (default $BLOCKNORM_WORKERS or 1)")
+    p.add_argument("--mu0", type=float, default=0.0, help="null mean per observation (default %(default)s)")
+    p.add_argument("--reps", type=int, default=DEFAULT_REPS, help="replications (default %(default)s)")
+    p.add_argument("--seed", type=int, default=0, help="64-bit master seed (default %(default)s)")
+    p.add_argument("--x", help="threshold grid start:stop:step (default: the table1 grid)")
+    p.add_argument("--format", choices=["csv", "json"], default="csv", help="format (default %(default)s)")
+    p.add_argument("--workers", type=int,
+                   help="worker threads, at most one per chunk and per CPU (default $BLOCKNORM_WORKERS or 1)")
     p.set_defaults(handler=_cmd_simulate)
 
-    p = commands.add_parser("ci", help="simultaneous mean intervals from a panel CSV")
-    p.add_argument("input", help="CSV panel, n rows by p numeric columns")
-    _add_common(p)
-    p.add_argument("--alpha", type=float, help="simultaneous level (default 0.05)")
-    p.add_argument("--m", help="interlacing block length, or auto = round(n**0.25)")
-    p.add_argument("--use-t", action=argparse.BooleanOptionalAction,
-                   help="Student t quantiles instead of normal (default on)")
-    p.set_defaults(handler=_cmd_ci)
+    for name, handler, summary in (
+        ("ci", _cmd_ci, "simultaneous mean intervals from a panel CSV"),
+        ("test", _cmd_test, "test a hypothesized mean vector"),
+    ):
+        p = commands.add_parser(name, help=summary)
+        p.add_argument("input", help="CSV panel, n rows by p numeric columns")
+        _add_common(p)
+        p.add_argument("--alpha", type=float, default=0.05, help="level alpha (default %(default)s)")
+        p.add_argument("--m", type=_block_length, default="auto",
+                       help="interlacing block length, or auto = round(n**0.25) (default %(default)s)")
+        p.add_argument("--use-t", action=argparse.BooleanOptionalAction, default=True,
+                       help="Student t quantiles instead of normal (default %(default)s)")
+        if name == "test":
+            p.add_argument("--mu0", required=True, help="CSV with the hypothesized mean vector")
+        p.set_defaults(handler=handler)
 
-    p = commands.add_parser("test", help="test a hypothesized mean vector")
-    p.add_argument("input", help="CSV panel, n rows by p numeric columns")
-    p.add_argument("--mu0", required=True, help="CSV with the hypothesized mean vector")
-    _add_common(p)
-    p.add_argument("--alpha", type=float, help="test level (default 0.05)")
-    p.add_argument("--m", help="interlacing block length, or auto = round(n**0.25)")
-    p.add_argument("--use-t", action=argparse.BooleanOptionalAction,
-                   help="Student t quantiles instead of normal (default on)")
-    p.set_defaults(handler=_cmd_test)
-
-    # config-file keys of any subcommand are accepted, so one file can serve them all
-    parser.set_defaults(config_keys={
-        opt[2:] for sub in commands.choices.values() for action in sub._actions
-        for opt in action.option_strings if opt.startswith("--")
+    # each subcommand's long options by config-file key (the option's dest, dashed)
+    parser.set_defaults(options={
+        name: {a.dest.replace("_", "-"): a for a in sub._actions if a.option_strings and a.dest != "help"}
+        for name, sub in commands.choices.items()
     })
     return parser
 
@@ -401,8 +358,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if not getattr(args, "command", None):
+        if not args.command:
             parser.error("a subcommand is required (table1, simulate, ci or test)")
+        if args.config is not None:  # parse the file's tokens first, so the flags win
+            at = argv.index(args.command) + 1
+            tokens = _config_tokens(args.config, args.command, args.options)
+            args = parser.parse_args(argv[:at] + tokens + argv[at:])
         return args.handler(args, argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -146,11 +147,12 @@ def _run(config: SimConfig, kernel: StatKernel, workers: int, collect: bool):
         raise ConfigurationError(f"need workers >= 1, got {workers}")
     grid = np.asarray(config.x_grid, dtype=float)
     bounds = _chunk_bounds(config.reps)
+    threads = min(workers, len(bounds), os.cpu_count() or 1)  # one per chunk and per CPU at most
 
-    if workers == 1 or len(bounds) == 1:
+    if threads == 1:
         results = [_run_chunk(config, kernel, grid, b, collect) for b in bounds]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(
                 pool.map(lambda b: _run_chunk(config, kernel, grid, b, collect), bounds)
             )
@@ -209,11 +211,13 @@ def ratio_grid(config: SimConfig, params: Sequence[float], workers: int = 1) -> 
     name = getattr(config.process, "param", None)
     if name is None:
         raise ConfigurationError("parameter grids exist for AR(1) (over rho) and ARCH(1) (over b)")
-    tables = []
-    for value in params:
-        cell = dataclasses.replace(config, process=dataclasses.replace(config.process, **{name: value}))
-        tables.append(estimate_tail(cell, workers=workers))
-    return RatioGrid(param_name=name, param_values=tuple(float(v) for v in params), tables=tuple(tables))
+    # every cell is built, and so validated, before any cell draws a path
+    cells = [
+        dataclasses.replace(config, process=dataclasses.replace(config.process, **{name: value}))
+        for value in params
+    ]
+    tables = tuple(estimate_tail(cell, workers=workers) for cell in cells)
+    return RatioGrid(param_name=name, param_values=tuple(float(v) for v in params), tables=tables)
 
 
 def ks_distance(sample, ref: RefDist) -> float:

@@ -87,6 +87,9 @@ def generator(seed: Seed) -> np.random.Generator:
 class IIDNormal:
     """Independent standard normal observations."""
 
+    def paths(self, n: int, seeds: Sequence[Seed]) -> np.ndarray:
+        return _innovations(seeds, n)
+
     def as_dict(self) -> dict:
         return {"process": "iid"}
 
@@ -101,6 +104,17 @@ class AR1:
     def __post_init__(self) -> None:
         if not abs(self.rho) < 1.0:
             raise ConfigurationError(f"AR(1) needs |rho| < 1, got rho={self.rho}")
+
+    def paths(self, n: int, seeds: Sequence[Seed]) -> np.ndarray:
+        rho = self.rho
+
+        def step(prev, cur):
+            np.add(rho * prev, cur, cur)
+
+        eps = _innovations(seeds, n + 1)
+        eps[:, 0] /= math.sqrt(1.0 - rho * rho)
+        _recur_in_place(eps, step)
+        return eps[:, 1:]
 
     def as_dict(self) -> dict:
         return {"process": "ar1", "rho": self.rho}
@@ -123,6 +137,17 @@ class ARCH1:
             raise ConfigurationError(f"ARCH(1) needs a finite a > 0, got a={self.a}")
         if not 0.0 <= self.b < 1.0:
             raise ConfigurationError(f"ARCH(1) needs 0 <= b < 1, got b={self.b}")
+
+    def paths(self, n: int, seeds: Sequence[Seed]) -> np.ndarray:
+        a, b = self.a, self.b
+
+        def step(prev, cur):
+            np.multiply(np.sqrt(a * a + (b * b) * prev * prev), cur, cur)
+
+        eps = _innovations(seeds, n + 1 + ARCH_BURN_IN)
+        eps[:, 0] *= a / math.sqrt(1.0 - b * b)
+        _recur_in_place(eps, step)
+        return eps[:, 1 + ARCH_BURN_IN :]
 
     def as_dict(self) -> dict:
         return {"process": "arch1", "a": self.a, "b": self.b}
@@ -189,6 +214,8 @@ def _recur_in_place(x: np.ndarray, step) -> None:
     _BAND rows at a time so the copy stays in cache, into a small buffer
     whose rows are time steps, so every step works on contiguous memory.
     """
+    # Each step writes only its result in place: on paths with few rows,
+    # numpy dispatches an allocating ufunc faster than one given out=.
     rows, cols = x.shape
     buf = np.empty((_TILE + 1, rows))
     slots = list(buf)  # one view per time step of the buffer
@@ -204,26 +231,6 @@ def _recur_in_place(x: np.ndarray, step) -> None:
         buf[0] = buf[width]
 
 
-# Each step writes only its result in place: on paths with few rows,
-# numpy dispatches an allocating ufunc faster than one given out=.
-def _ar1_from_innovations(eps: np.ndarray, rho: float) -> np.ndarray:
-    def step(prev, cur):
-        np.add(rho * prev, cur, cur)
-
-    eps[:, 0] /= math.sqrt(1.0 - rho * rho)
-    _recur_in_place(eps, step)
-    return eps[:, 1:]
-
-
-def _arch1_from_innovations(eps: np.ndarray, a: float, b: float) -> np.ndarray:
-    def step(prev, cur):
-        np.multiply(np.sqrt(a * a + (b * b) * prev * prev), cur, cur)
-
-    eps[:, 0] *= a / math.sqrt(1.0 - b * b)
-    _recur_in_place(eps, step)
-    return eps[:, 1 + ARCH_BURN_IN :]
-
-
 def generate_paths(process: ProcessSpec, n: int, seeds: Sequence[Seed]) -> np.ndarray:
     """One path per seed, stacked as rows of an (len(seeds), n) array.
 
@@ -234,13 +241,9 @@ def generate_paths(process: ProcessSpec, n: int, seeds: Sequence[Seed]) -> np.nd
     """
     if n < 1:
         raise ConfigurationError(f"path length must be >= 1, got n={n}")
-    if isinstance(process, IIDNormal):
-        return _innovations(seeds, n)
-    if isinstance(process, AR1):
-        return _ar1_from_innovations(_innovations(seeds, n + 1), process.rho)
-    if isinstance(process, ARCH1):
-        return _arch1_from_innovations(_innovations(seeds, n + 1 + ARCH_BURN_IN), process.a, process.b)
-    raise ConfigurationError(f"process {process!r} does not generate scalar paths")
+    if not hasattr(process, "paths"):
+        raise ConfigurationError(f"process {process!r} does not generate scalar paths")
+    return process.paths(n, seeds)
 
 
 def gen_iid_normal(n: int, seed: Seed) -> np.ndarray:

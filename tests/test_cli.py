@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from blocknorm.cli import main, parse_grid
+import blocknorm.mc as mc
+from blocknorm.cli import MAX_GRID_POINTS, main, parse_grid
 from blocknorm.errors import ConfigurationError
 
 
@@ -39,6 +40,18 @@ class TestGridParsing:
         for text in ("1:nan:1", "nan:2:1", "1:2:nan", "0:nan:0.1", "1:inf:1", "-inf:1:1", "1:2:inf", "nan"):
             with pytest.raises(ConfigurationError, match="finite"):
                 parse_grid(text)
+        for text in ("0:1e300:1e-300", "0:1e9:1e-9"):  # an infinite and a huge point count
+            with pytest.raises(ConfigurationError, match="points"):
+                parse_grid(text)
+
+
+    def test_grid_point_limit(self):
+        assert len(parse_grid(f"1:{MAX_GRID_POINTS}:1")) == MAX_GRID_POINTS
+        with pytest.raises(ConfigurationError, match="points"):
+            parse_grid(f"0:{MAX_GRID_POINTS}:1")
+
+    def test_default_threshold_grid_is_the_table1_grid(self):
+        assert tuple(parse_grid("1.6:4.0:0.1")) == mc.DEFAULT_X_GRID
 
 
 class TestTable1Command:
@@ -352,3 +365,96 @@ class TestTopLevel:
     def test_version(self, capsys):
         assert main(["--version"]) == 0
         assert "blocknorm" in capsys.readouterr().out
+
+
+class TestConfigResolution:
+    """Flags, then config-file values, then parser defaults, all through argparse."""
+
+    @pytest.fixture()
+    def panel_csv(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        np.savetxt(path, np.random.default_rng(3).standard_normal((100, 2)), delimiter=",")
+        return path
+
+    def test_use_t_from_file_and_flag_override(self, capsys, panel_csv, tmp_path):
+        cfg = tmp_path / "ci.cfg"
+        cfg.write_text("use-t = no\nalpha = 0.1\n")
+        code, out, _ = _run(capsys, "ci", str(panel_csv), "--config", str(cfg))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["ci"]["quantile_source"] == "normal"
+        assert payload["manifest"]["config"]["use_t"] is False
+        assert payload["manifest"]["config"]["alpha"] == 0.1
+        code, out, _ = _run(capsys, "ci", str(panel_csv), "--config", str(cfg), "--use-t")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["ci"]["quantile_source"].startswith("t")
+        assert payload["manifest"]["config"]["use_t"] is True
+        assert payload["manifest"]["command"] == f"blocknorm ci {panel_csv} --config {cfg} --use-t"
+
+    def test_bad_yes_no_value_names_the_key(self, capsys, panel_csv, tmp_path):
+        cfg = tmp_path / "ci.cfg"
+        cfg.write_text("use-t = maybe\n")
+        code, out, err = _run(capsys, "ci", str(panel_csv), "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert "configuration error" in err and "use-t = 'maybe'" in err
+
+    def test_file_values_with_a_leading_minus(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "process = iid\nstat = i-star\nm = 10\nn = 100\nreps = 10\nmu0 = -0.5\nx = -1:1:0.5\n"
+        )
+        code, out, err = _run(capsys, "simulate", "--config", str(cfg), "--format", "json")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["rows"]["x"] == [-1.0, -0.5, 0.0, 0.5, 1.0]
+        assert payload["metadata"]["config"]["mu0"] == -0.5
+
+    @pytest.mark.parametrize("line", ["format = xml", "process = foo", "stat = z"])
+    def test_file_values_are_checked_against_choices(self, capsys, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"process = iid\nstat = i-star\nm = 10\nn = 100\nreps = 10\n{line}\n")
+        code, out, err = _run(capsys, "simulate", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert "configuration error" in err and "invalid choice" in err
+        assert "Traceback" not in err
+
+    def test_unparsable_block_length(self, capsys, panel_csv):
+        code, out, err = _run(capsys, "ci", str(panel_csv), "--m", "lots")
+        assert (code, out) == (1, "")
+        assert "configuration error" in err and "integer or 'auto'" in err
+
+    def test_flag_usage_errors_are_configuration_errors(self, capsys):
+        for argv in (["simulate", "--process", "foo"], ["simulate", "--reps", "lots"], ["nonsense"], []):
+            code, out, err = _run(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err.startswith("blocknorm: configuration error: ")
+
+    def test_oversized_grid_is_a_configuration_error(self, capsys):
+        code, out, err = _run(
+            capsys, "simulate", "--process", "iid", "--stat", "i-star", "--m", "10",
+            "--n", "100", "--reps", "10", "--x", "0:1e300:1e-300",
+        )
+        assert (code, out) == (1, "")
+        assert "configuration error" in err and "points" in err
+        assert "Traceback" not in err
+
+    def test_zero_workers_is_a_configuration_error(self, capsys):
+        code, out, err = _run(
+            capsys, "simulate", "--process", "iid", "--stat", "i-star", "--m", "10",
+            "--n", "100", "--reps", "10", "--workers", "0",
+        )
+        assert (code, out) == (1, "")
+        assert "configuration error" in err and "workers" in err and ">= 1" in err
+
+    def test_invalid_grid_cell_fails_before_any_draw(self, capsys, monkeypatch):
+        def no_draws(process, n, seeds):
+            raise AssertionError("paths were drawn before the grid was checked")
+
+        monkeypatch.setattr(mc, "generate_paths", no_draws)
+        code, out, err = _run(
+            capsys, "simulate", "--process", "ar1", "--rho-grid", "0:1:0.5", "--stat", "i-star",
+            "--m", "10", "--n", "100", "--reps", "5000",
+        )
+        assert (code, out) == (1, "")
+        assert "configuration error" in err and "rho=1.0" in err

@@ -335,3 +335,52 @@ class TestBatchSchemeEngine:
         assert v0[0] == i_n_star(path0, 10, 0.0).value
         assert v1[0] == i_n_star(path0, 10, 0.3).value
         assert v0[0] != v1[0]
+
+
+class TestRatioGridValidation:
+    def test_invalid_cell_fails_before_any_draw(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(mc, "generate_paths", lambda process, n, seeds: drawn.append(process))
+        cfg = SimConfig(AR1(0.0), 100, Interlace(5), "InStar", 5000, 0)
+        with pytest.raises(ConfigurationError, match="rho=1.0"):
+            ratio_grid(cfg, [0.0, 0.5, 1.0])
+        assert drawn == []
+
+
+class _RecordingPool:
+    """Stands in for ThreadPoolExecutor: records max_workers, maps serially."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestWorkerThreadBound:
+    # three chunks of at most 4096 replications
+    CFG = dict(n=40, scheme=Interlace(10), reps=2 * 4096 + 1, x_grid=(1.0, 2.0))
+
+    @pytest.mark.parametrize("workers, cpus, expected", [
+        (10**6, 8, [3]),  # one thread per chunk
+        (10**6, 2, [2]),  # one thread per CPU
+        (2, 8, [2]),
+        (10**6, 1, []),  # a single thread runs the chunks in the caller
+        (10**6, None, []),  # unknown CPU count counts as one
+    ])
+    def test_threads_are_clamped(self, monkeypatch, workers, cpus, expected):
+        sizes = []
+        monkeypatch.setattr(_RecordingPool, "sizes", sizes)
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
+        table = estimate_tail(_config(**self.CFG), workers=workers)
+        assert sizes == expected
+        assert np.array_equal(table.mc_tail, estimate_tail(_config(**self.CFG), workers=1).mc_tail)
