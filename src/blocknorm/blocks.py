@@ -172,12 +172,15 @@ def batch_partition(n: int, m: int) -> BlockPartition:
     return partition(Batch(m), n)
 
 
-def _as_matrix(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[np.newaxis, :]
-    if x.ndim != 2:
-        raise DataError(f"expected a 1-D series or 2-D batch of series, got ndim={x.ndim}")
+def finite_array(data, ndim: int, name: str) -> np.ndarray:
+    """data as a nonempty float array of ndim axes with finite values, else DataError."""
+    x = np.asarray(data, dtype=float)
+    if x.ndim != ndim:
+        raise DataError(f"{name} must be {ndim}-D, got shape {x.shape}")
+    if x.size < 1:
+        raise DataError(f"{name} must be nonempty, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise DataError(f"{name} contains non-finite values")
     return x
 
 
@@ -197,12 +200,10 @@ def interlace_sums_matrix(x: np.ndarray, m: int, k: int) -> np.ndarray:
 
 
 def block_sums(series, partition: BlockPartition, tag: str) -> BlockSums:
-    """Sum the series over every block carrying the given tag."""
-    x = _as_matrix(series)
-    if x.shape[0] != 1:
-        raise DataError("block_sums expects a single series; use tagged_sums for batches")
-    if x.shape[1] != partition.n:
-        raise DataError(f"series has length {x.shape[1]} but the partition was built for n={partition.n}")
-    values = tagged_sums(x, partition.scheme, partition.k, tag)[0]
+    """Sum a 1-D finite series over every block carrying the given tag."""
+    x = finite_array(series, 1, "series")
+    if x.size != partition.n:
+        raise DataError(f"series has length {x.size} but the partition was built for n={partition.n}")
+    values = tagged_sums(x[np.newaxis, :], partition.scheme, partition.k, tag)[0]
     length = next(w[2] for w in partition.scheme.layout()[1] if w[0] == tag)
     return BlockSums(values=values, block_length=length, k=values.shape[0])

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import Interlace, interlace_sums_matrix, periods
+from .blocks import Interlace, finite_array, interlace_sums_matrix, periods
 from .dist import NORMAL, RefDist, ref_quantile, student_t
 from .errors import ConfigurationError, DataError
 
@@ -87,20 +87,9 @@ def default_block_length(n: int) -> int:
     return max(1, round(n**0.25))
 
 
-def _validate_panel(panel) -> np.ndarray:
-    z = np.asarray(panel, dtype=float)
-    if z.ndim != 2:
-        raise DataError(f"panel must be 2-D (n rows, p columns), got shape {z.shape}")
-    if z.shape[0] < 1 or z.shape[1] < 1:
-        raise DataError(f"panel must be nonempty, got shape {z.shape}")
-    if not np.isfinite(z).all():
-        raise DataError("panel contains non-finite values")
-    return z
-
-
 def simultaneous_ci(panel, alpha: float, m: int | None = None, use_t: bool = True) -> CiSet:
     """Level 1 - alpha simultaneous confidence intervals for the mean vector."""
-    z = _validate_panel(panel)
+    z = finite_array(panel, 2, "panel")
     n, p = z.shape
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
@@ -134,16 +123,15 @@ def simultaneous_ci(panel, alpha: float, m: int | None = None, use_t: bool = Tru
 
 def mean_test(panel, mu0, alpha: float, m: int | None = None, use_t: bool = True) -> TestResult:
     """Reject the hypothesized mean vector iff some interval misses it."""
-    z = _validate_panel(panel)
+    ci = simultaneous_ci(panel, alpha=alpha, m=m, use_t=use_t)
     mu = np.asarray(mu0, dtype=float)
-    if mu.ndim != 1 or mu.size != z.shape[1]:
+    if mu.ndim != 1 or mu.size != ci.p:
         raise DataError(
-            f"mu0 has shape {mu.shape} but the panel has {z.shape[1]} coordinates"
+            f"mu0 has shape {mu.shape} but the panel has {ci.p} coordinates"
         )
     bad = np.nonzero(~np.isfinite(mu))[0]
     if bad.size:
         raise DataError(f"mu0 is not finite at coordinates {', '.join(str(i) for i in bad)}")
-    ci = simultaneous_ci(z, alpha=alpha, m=m, use_t=use_t)
     outside = np.abs(mu - ci.centers) > ci.halfwidths
     violating = tuple(int(i) for i in np.nonzero(outside)[0])
     return TestResult(

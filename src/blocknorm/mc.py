@@ -22,7 +22,7 @@ import dataclasses
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -54,6 +54,7 @@ class SimConfig:
     x_grid: tuple[float, ...] = DEFAULT_X_GRID
     mu0: float = 0.0
     ref: RefDist | None = None
+    kernel: StatKernel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x_grid", tuple(float(x) for x in self.x_grid))
@@ -68,7 +69,8 @@ class SimConfig:
         grid = np.asarray(self.x_grid, dtype=float)
         if grid.size > 1 and not np.all(np.diff(grid) > 0):
             raise ConfigurationError("x_grid must be strictly increasing")
-        make_kernel(self.stat_kind, self.scheme, self.n)  # fail fast on mismatches
+        # fail fast on mismatches, and keep the kernel for the run
+        object.__setattr__(self, "kernel", make_kernel(self.stat_kind, self.scheme, self.n))
 
     def as_dict(self) -> dict:
         d = {
@@ -142,7 +144,7 @@ def _run_chunk(
     return counts.astype(np.int64), int(degenerate.sum()), (good if collect else None)
 
 
-def _run(config: SimConfig, kernel: StatKernel, workers: int, collect: bool):
+def _run(config: SimConfig, workers: int, collect: bool):
     if workers < 1:
         raise ConfigurationError(f"need workers >= 1, got {workers}")
     grid = np.asarray(config.x_grid, dtype=float)
@@ -150,11 +152,11 @@ def _run(config: SimConfig, kernel: StatKernel, workers: int, collect: bool):
     threads = min(workers, len(bounds), os.cpu_count() or 1)  # one per chunk and per CPU at most
 
     if threads == 1:
-        results = [_run_chunk(config, kernel, grid, b, collect) for b in bounds]
+        results = [_run_chunk(config, config.kernel, grid, b, collect) for b in bounds]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(
-                pool.map(lambda b: _run_chunk(config, kernel, grid, b, collect), bounds)
+                pool.map(lambda b: _run_chunk(config, config.kernel, grid, b, collect), bounds)
             )
 
     counts = np.sum([r[0] for r in results], axis=0)
@@ -170,15 +172,13 @@ def _run(config: SimConfig, kernel: StatKernel, workers: int, collect: bool):
 
 def simulate_stats(config: SimConfig, workers: int = 1) -> np.ndarray:
     """The statistic values themselves, one per non-degenerate replication."""
-    kernel = make_kernel(config.stat_kind, config.scheme, config.n)
-    _, _, values = _run(config, kernel, workers, collect=True)
+    _, _, values = _run(config, workers, collect=True)
     return values
 
 
 def estimate_tail(config: SimConfig, workers: int = 1) -> TailTable:
     """Estimate P(statistic >= x) over the x grid and compare to the reference."""
-    kernel = make_kernel(config.stat_kind, config.scheme, config.n)
-    ref = config.ref if config.ref is not None else kernel.ref
+    ref = config.ref if config.ref is not None else config.kernel.ref
     grid = np.asarray(config.x_grid, dtype=float)
     ref_tail = ref_upper(ref, grid)
     underflow = grid[ref_tail < np.finfo(float).tiny]
@@ -187,7 +187,7 @@ def estimate_tail(config: SimConfig, workers: int = 1) -> TailTable:
             f"the {ref.label()} upper tail underflows double precision at x = "
             f"{', '.join(f'{x:g}' for x in underflow)}, so its ratio is undefined"
         )
-    counts, degenerate, _ = _run(config, kernel, workers, collect=False)
+    counts, degenerate, _ = _run(config, workers, collect=False)
     effective = config.reps - degenerate
     mc_tail = counts / effective
     ratio = mc_tail / ref_tail

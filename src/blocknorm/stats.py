@@ -35,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import Batch, BigSmall, BlockScheme, Interlace, periods, tagged_sums
+from .blocks import Batch, BigSmall, BlockScheme, Interlace, finite_array, periods, tagged_sums
 from .dist import NORMAL, RefDist, student_t
-from .errors import ConfigurationError, DataError, DegenerateDenominatorError
+from .errors import ConfigurationError, DegenerateDenominatorError
 
 STAT_FLAG_BY_KIND = {
     "Wn": "w",
@@ -67,17 +67,6 @@ class TwoSampleData:
 
     x1: np.ndarray
     x2: np.ndarray
-
-
-def _validate_series(series, name: str = "series") -> np.ndarray:
-    x = np.asarray(series, dtype=float)
-    if x.ndim != 1:
-        raise DataError(f"{name} must be 1-D, got shape {x.shape}")
-    if x.size < 1:
-        raise DataError(f"{name} must be nonempty")
-    if not np.isfinite(x).all():
-        raise DataError(f"{name} contains non-finite values")
-    return x
 
 
 def _selfnorm_rows(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -163,8 +152,10 @@ def make_kernel(kind: str, scheme: BlockScheme, n: int) -> StatKernel:
     )
 
 
-def _scalar(kernel: StatKernel, series: np.ndarray, mu0: float) -> StatValue:
-    values, degenerate = kernel.values(series[np.newaxis, :], mu0)
+def _scalar(kind: str, scheme: BlockScheme, series, mu0: float = 0.0) -> StatValue:
+    x = finite_array(series, 1, "series")
+    kernel = make_kernel(kind, scheme, x.size)
+    values, degenerate = kernel.values(x[np.newaxis, :], mu0)
     if degenerate[0]:
         raise DegenerateDenominatorError(
             f"{kernel.kind}: block sums leave no spread to normalize by"
@@ -174,14 +165,12 @@ def _scalar(kernel: StatKernel, series: np.ndarray, mu0: float) -> StatValue:
 
 def w_n(series, m1: int, m2: int) -> StatValue:
     """Self-normalized sum of the big-block sums, sum(Y)/sqrt(sum(Y^2))."""
-    x = _validate_series(series)
-    return _scalar(make_kernel("Wn", BigSmall(m1, m2), x.size), x, 0.0)
+    return _scalar("Wn", BigSmall(m1, m2), series)
 
 
 def w_n_star(series, m1: int, m2: int, mu: float = 0.0) -> StatValue:
     """Student t statistic of the big-block sums against block mean m1*mu."""
-    x = _validate_series(series)
-    return _scalar(make_kernel("WnStar", BigSmall(m1, m2), x.size), x, float(mu))
+    return _scalar("WnStar", BigSmall(m1, m2), series, float(mu))
 
 
 def i_n(series, m: int) -> StatValue:
@@ -190,14 +179,12 @@ def i_n(series, m: int) -> StatValue:
     Identical to w_n with m1 = m2 = m: the odd blocks of the interlacing
     scheme are exactly the big blocks of the equal-size big-small scheme.
     """
-    x = _validate_series(series)
-    return _scalar(make_kernel("In", Interlace(m), x.size), x, 0.0)
+    return _scalar("In", Interlace(m), series)
 
 
 def i_n_star(series, m: int, mu: float = 0.0) -> StatValue:
     """Student t statistic of the odd interlaced block sums."""
-    x = _validate_series(series)
-    return _scalar(make_kernel("InStar", Interlace(m), x.size), x, float(mu))
+    return _scalar("InStar", Interlace(m), series, float(mu))
 
 
 def t_n_star(series, m: int) -> StatValue:
@@ -206,8 +193,7 @@ def t_n_star(series, m: int) -> StatValue:
     The denominator is the batch-means estimate of the long-run scale,
     so this is the batch-means studentized mean.
     """
-    x = _validate_series(series)
-    return _scalar(make_kernel("TnStar", Batch(m), x.size), x, 0.0)
+    return _scalar("TnStar", Batch(m), series)
 
 
 def two_sample_w(data: TwoSampleData, m1: int, m2: int) -> StatValue:
@@ -220,8 +206,8 @@ def two_sample_w(data: TwoSampleData, m1: int, m2: int) -> StatValue:
     When sizes are driven by exponents, m1 and m2 should be computed
     from the combined length n1 + n2 (see exponents_to_sizes).
     """
-    x1 = _validate_series(data.x1, "x1")
-    x2 = _validate_series(data.x2, "x2")
+    x1 = finite_array(data.x1, 1, "x1")
+    x2 = finite_array(data.x2, 1, "x2")
     scheme = BigSmall(m1, m2)
     period = scheme.layout()[0]
     k1, k2 = x1.size // period, x2.size // period

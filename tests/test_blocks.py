@@ -11,6 +11,7 @@ from blocknorm.blocks import (
     bbsb_partition,
     block_sums,
     exponents_to_sizes,
+    finite_array,
     interlace_partition,
 )
 from blocknorm.errors import ConfigurationError, DataError
@@ -116,6 +117,33 @@ class TestBlockSums:
     def test_unknown_tag(self):
         with pytest.raises(ConfigurationError):
             block_sums(np.zeros(10), bbsb_partition(10, 3, 2), "odd")
+
+    def test_non_finite_series_rejected(self):
+        series = [1.0, 2.0, np.nan, 4.0, 5.0, np.inf, 7.0, 8.0]
+        with pytest.raises(DataError, match="series contains non-finite values"):
+            block_sums(series, interlace_partition(8, 2), "odd")
+
+    def test_batch_of_one_row_rejected(self):
+        with pytest.raises(DataError, match=r"series must be 1-D, got shape \(1, 8\)"):
+            block_sums(np.zeros((1, 8)), interlace_partition(8, 2), "odd")
+
+
+class TestFiniteArray:
+    def test_returns_float_array(self):
+        x = finite_array([[1, 2], [3, 4]], 2, "panel")
+        assert x.dtype == float and x.shape == (2, 2)
+
+    @pytest.mark.parametrize(
+        "data, ndim, message",
+        [
+            ([1.0, 2.0], 2, r"panel must be 2-D, got shape \(2,\)"),
+            (np.zeros((0, 3)), 2, r"panel must be nonempty, got shape \(0, 3\)"),
+            ([[1.0, -np.inf]], 2, "panel contains non-finite values"),
+        ],
+    )
+    def test_errors_name_the_input(self, data, ndim, message):
+        with pytest.raises(DataError, match=message):
+            finite_array(data, ndim, "panel")
 
     def test_linearity(self):
         rng = np.random.default_rng(5)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import blocknorm.infer as infer
+from blocknorm.blocks import finite_array
 from blocknorm.dist import ref_quantile, student_t
 from blocknorm.errors import ConfigurationError, DataError
 from blocknorm.infer import (
@@ -118,6 +120,26 @@ class TestMeanTest:
     def test_dimension_mismatch(self):
         with pytest.raises(DataError):
             mean_test(_panel(p=5), np.zeros(4), alpha=0.05, m=8)
+
+    def test_panel_passed_over_once(self, monkeypatch):
+        checked = []
+
+        def counting_check(data, ndim, name):
+            checked.append(name)
+            return finite_array(data, ndim, name)
+
+        monkeypatch.setattr(infer, "finite_array", counting_check)
+        mean_test(_panel(p=5), np.zeros(5), alpha=0.05, m=8)
+        assert checked == ["panel"]
+
+    def test_errors_come_panel_then_alpha_then_mu0(self):
+        bad_mu0 = np.zeros(4)
+        with pytest.raises(DataError, match="panel contains non-finite values"):
+            mean_test(np.full((40, 5), np.nan), bad_mu0, alpha=2.0, m=8)
+        with pytest.raises(ConfigurationError, match="alpha"):
+            mean_test(_panel(p=5), bad_mu0, alpha=2.0, m=8)
+        with pytest.raises(DataError, match="mu0 has shape"):
+            mean_test(_panel(p=5), bad_mu0, alpha=0.05, m=8)
 
     def test_non_finite_mu0_names_the_coordinates(self):
         mu0 = np.array([0.0, np.nan, 0.0, np.inf, -np.inf])

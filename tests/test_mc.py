@@ -52,6 +52,25 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             _config(scheme=BigSmall(5, 2))
 
+    def test_one_kernel_per_config(self, monkeypatch):
+        built = []
+        real_kernel = mc.make_kernel
+
+        def counting_kernel(*args):
+            built.append(args)
+            return real_kernel(*args)
+
+        monkeypatch.setattr(mc, "make_kernel", counting_kernel)
+        cfg = _config(reps=100)
+        estimate_tail(cfg, workers=2)
+        simulate_stats(cfg)
+        assert len(built) == 1
+        assert cfg.kernel.kind == "InStar" and cfg.kernel.n == cfg.n
+
+    def test_kernel_is_not_part_of_equality_or_repr(self):
+        assert _config() == _config()
+        assert "kernel" not in repr(_config())
+
     def test_mu0_must_be_finite(self):
         for mu0 in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ConfigurationError, match="mu0"):

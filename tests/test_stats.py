@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import blocknorm.stats as stats
 from blocknorm.blocks import Batch, BigSmall, Interlace
 from blocknorm.errors import ConfigurationError, DataError, DegenerateDenominatorError
 from blocknorm.stats import (
@@ -129,6 +130,31 @@ class TestDegenerateAndErrors:
         bad = np.array([1.0, np.nan, 2.0, 3.0])
         with pytest.raises(DataError):
             i_n(bad, 1)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x: w_n(x, 3, 1),
+            lambda x: w_n_star(x, 3, 1),
+            lambda x: i_n(x, 2),
+            lambda x: i_n_star(x, 2),
+            lambda x: t_n_star(x, 2),
+        ],
+    )
+    def test_one_kernel_per_scalar_call(self, monkeypatch, call):
+        built = []
+
+        def counting_kernel(*args):
+            built.append(args)
+            return make_kernel(*args)
+
+        monkeypatch.setattr(stats, "make_kernel", counting_kernel)
+        call(np.arange(1.0, 17.0))
+        assert len(built) == 1
+
+    def test_two_sample_errors_name_the_sample(self):
+        with pytest.raises(DataError, match="x2 contains non-finite values"):
+            two_sample_w(TwoSampleData(np.arange(10.0), np.array([1.0, np.inf])), 2, 1)
 
     def test_kernel_scheme_mismatch(self):
         with pytest.raises(ConfigurationError):
