@@ -69,8 +69,8 @@ class SimConfig:
         grid = np.asarray(self.x_grid, dtype=float)
         if grid.size > 1 and not np.all(np.diff(grid) > 0):
             raise ConfigurationError("x_grid must be strictly increasing")
-        # fail fast on mismatches, and keep the kernel for the run
-        object.__setattr__(self, "kernel", make_kernel(self.stat_kind, self.scheme, self.n))
+        # fail fast on mismatches and on an unrepresentable mu0, and keep the kernel for the run
+        object.__setattr__(self, "kernel", make_kernel(self.stat_kind, self.scheme, self.n, self.mu0))
 
     def as_dict(self) -> dict:
         d = {

@@ -31,6 +31,7 @@ one series per row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,8 +122,13 @@ class StatKernel:
         return _selfnorm_rows(y)
 
 
-def make_kernel(kind: str, scheme: BlockScheme, n: int) -> StatKernel:
-    """Validate a (statistic, scheme, n) combination and build its kernel."""
+def make_kernel(kind: str, scheme: BlockScheme, n: int, mu0: float = 0.0) -> StatKernel:
+    """Validate a (statistic, scheme, n, mu0) combination and build its kernel.
+
+    mu0 is in range when s = 2*m*|mu0|*sqrt(n_sums) is finite for the
+    Student kinds and s**2 is finite for the raw ones, so the centered
+    block sums, and the raw kinds' sum of their squares, cannot overflow.
+    """
     if kind not in SCHEME_BY_KIND:
         raise ConfigurationError(f"unknown statistic kind {kind!r}")
     if not isinstance(scheme, SCHEME_BY_KIND[kind]):
@@ -139,6 +145,11 @@ def make_kernel(kind: str, scheme: BlockScheme, n: int) -> StatKernel:
         ref = student_t(n_sums - 1)
     else:
         ref = student_t(n_sums)
+    s = 2.0 * length * abs(float(mu0)) * math.sqrt(n_sums)
+    if not math.isfinite(s if studentized else s * s):
+        raise ConfigurationError(
+            f"mu0 = {mu0:g} is out of range for {kind} with {n_sums} block sums of length {length}"
+        )
     return StatKernel(
         kind=kind,
         scheme=scheme,
@@ -154,7 +165,7 @@ def make_kernel(kind: str, scheme: BlockScheme, n: int) -> StatKernel:
 
 def _scalar(kind: str, scheme: BlockScheme, series, mu0: float = 0.0) -> StatValue:
     x = finite_array(series, 1, "series")
-    kernel = make_kernel(kind, scheme, x.size)
+    kernel = make_kernel(kind, scheme, x.size, mu0)
     values, degenerate = kernel.values(x[np.newaxis, :], mu0)
     if degenerate[0]:
         raise DegenerateDenominatorError(

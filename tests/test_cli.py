@@ -458,3 +458,12 @@ class TestConfigResolution:
         )
         assert (code, out) == (1, "")
         assert "configuration error" in err and "rho=1.0" in err
+
+    def test_unrepresentable_mu0_is_a_configuration_error(self, capsys):
+        code, out, err = _run(
+            capsys, "simulate", "--process", "iid", "--stat", "i-star", "--m", "10",
+            "--n", "100", "--reps", "10", "--mu0", "1e308",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("blocknorm: configuration error: mu0 = 1e+308 is out of range")
+        assert err.count("\n") == 1

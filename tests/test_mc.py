@@ -76,6 +76,15 @@ class TestConfigValidation:
             with pytest.raises(ConfigurationError, match="mu0"):
                 _config(mu0=mu0)
 
+    def test_mu0_out_of_range_rejected(self):
+        with pytest.raises(ConfigurationError, match="mu0 = 1e\\+160 is out of range for In"):
+            _config(stat_kind="In", n=100, mu0=1e160)
+
+    def test_mu0_in_range_keeps_its_values(self):
+        # every centered odd-block sum is about -10 * 1e150, so In = -sqrt(5) on every path
+        values = simulate_stats(_config(stat_kind="In", n=100, reps=50, mu0=1e150))
+        np.testing.assert_allclose(values, -np.sqrt(5.0), rtol=1e-12)
+
     def test_master_seed_must_fit_64_bits(self):
         for seed in (-1, 2**64, 2**65 - 1):
             with pytest.raises(ConfigurationError, match="64-bit"):

@@ -152,6 +152,12 @@ class TestDegenerateAndErrors:
         call(np.arange(1.0, 17.0))
         assert len(built) == 1
 
+    def test_mu0_out_of_range_rejected(self):
+        x = np.arange(1.0, 101.0)
+        with pytest.raises(ConfigurationError, match="mu0 = 1e\\+307 is out of range for WnStar"):
+            w_n_star(x, 12, 3, mu=1e307)
+        assert math.isfinite(w_n_star(x, 12, 3, mu=1e300).value)
+
     def test_two_sample_errors_name_the_sample(self):
         with pytest.raises(DataError, match="x2 contains non-finite values"):
             two_sample_w(TwoSampleData(np.arange(10.0), np.array([1.0, np.inf])), 2, 1)
