@@ -367,7 +367,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args, argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    except (ConfigurationError, DomainError) as exc:
+    except (ConfigurationError, DomainError, MemoryError) as exc:  # a run too large to fit is misconfigured
         sys.stderr.write(f"blocknorm: configuration error: {exc}\n")
         return 1
     except DataError as exc:

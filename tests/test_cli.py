@@ -467,3 +467,15 @@ class TestConfigResolution:
         assert (code, out) == (1, "")
         assert err.startswith("blocknorm: configuration error: mu0 = 1e+308 is out of range")
         assert err.count("\n") == 1
+
+    def test_out_of_memory_is_a_configuration_error(self, capsys, monkeypatch):
+        def too_large(process, n, seeds):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(mc, "generate_paths", too_large)
+        code, out, err = _run(
+            capsys, "simulate", "--process", "iid", "--stat", "i-star", "--m", "10",
+            "--n", "100", "--reps", "10",
+        )
+        assert (code, out) == (1, "")
+        assert err == "blocknorm: configuration error: Unable to allocate 7.28 TiB for an array\n"
