@@ -228,17 +228,19 @@ def _cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
         mu0=args.mu0,
     )
     workers = _workers(args)
+    meta = run_metadata(config)
 
     if param_grid is not None:
         grid = ratio_grid(config, param_grid, workers=workers)
         csv_text = ratio_grid_csv(grid)
         payload = ratio_grid_payload(grid)
+        meta["config"][grid.param_name] = list(grid.param_values)  # the grid, not the base config's 0.0
     else:
         table = estimate_tail(config, workers=workers)
         csv_text = tail_table_csv(table)
         payload = tail_table_payload(table)
 
-    manifest = _manifest(argv, run_metadata(config), config.master_seed, started)
+    manifest = _manifest(argv, meta, config.master_seed, started)
     if args.format == "csv":
         _emit_csv(args.output, csv_text, manifest)
     else:

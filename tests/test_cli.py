@@ -115,6 +115,29 @@ class TestSimulateCommand:
         assert lines[0] == "x,rho=0,rho=0.1,rho=0.2,full:rho=0,full:rho=0.1,full:rho=0.2"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_grid_manifest_records_the_grid(self, capsys, tmp_path, fmt):
+        path = tmp_path / "grid.out"
+        code, _, _ = _run(
+            capsys, "simulate", "--process", "ar1", "--rho-grid", "0.3:0.6:0.3",
+            "--stat", "i-star", "--m", "10", "--n", "100", "--reps", "40",
+            "--x", "1.6:1.8:0.1", "--format", fmt, "--output", str(path),
+        )
+        assert code == 0
+        if fmt == "csv":
+            manifest = json.loads((tmp_path / "grid.out.manifest.json").read_text())
+        else:
+            manifest = json.loads(path.read_text())["manifest"]
+        assert manifest["config"]["config"]["rho"] == [0.3, 0.6]
+
+    def test_grid_manifest_on_stderr_records_the_grid(self, capsys):
+        code, _, err = _run(
+            capsys, "simulate", "--process", "arch1", "--b-grid", "0.2:0.4:0.2",
+            "--stat", "i-star", "--m", "10", "--n", "100", "--reps", "40", "--x", "1.6",
+        )
+        assert code == 0
+        assert json.loads(err)["config"]["config"]["b"] == [0.2, 0.4]
+
     def test_interlace_stat_rejects_bigsmall_flags(self, capsys):
         code, _, err = _run(
             capsys, "simulate", "--process", "iid", "--stat", "i-star",

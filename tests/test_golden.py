@@ -204,8 +204,8 @@ GOLDEN = {
     "block_sums": "b1b98eed42d4f70e0208aac993fd8b850bab2760e10ba2ac884df115825f54ed",
     "ci": "fef9e161da313f0d0cc4f7679ca396705c4e2462af127dd3a0bca84590992368",
     "cli-ci-json": "d7457fa1315a0fb90619ec6b6543a49f1351b04a1d0a2fc5b2c461e3fa984f5f",
-    "cli-grid-csv": "8351e40bdc58e7ce189d84450316b5976fb1263ae81449906475d9e0cf344dc6",
-    "cli-grid-json": "86f3f65cfea02a991fa680d6af1ba31eb07e8c881640ead146e889907244e125",
+    "cli-grid-csv": "789ff01e736393925f45d755d080db9c07816169087b23f364f2472568208e51",
+    "cli-grid-json": "3143517fc2a51d7cebb7ca8485fa5ab297c949d44f1e5da64d38f843b23ea887",
     "cli-simulate-json": "463437183a68d6a5331848aa0abbfced3d49e0c39e3b6128f04296942c25cb0e",
     "cli-table1-csv": "9ef71a7aae294a414a5f41644cf7138f250472ee0772158436cc49a70486dece",
     "cli-test-json": "9bb22a8589a9ed16d7dfd1ef5f91b1c25d4c27d4ee93ec3ef113beefe6074789",
