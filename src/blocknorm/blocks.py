@@ -15,7 +15,9 @@ whole periods:
   [m, 2m), so the 2k blocks are consecutive.
 
 Indices are reported 1-based inclusive. Observations past the last full
-period are dropped.
+period are dropped. ``finite_array`` is the package's one check that a
+series or panel is a nonempty finite float array; ``block_sums`` takes
+a 1-D series through it.
 """
 
 from __future__ import annotations

@@ -122,7 +122,10 @@ def simultaneous_ci(panel, alpha: float, m: int | None = None, use_t: bool = Tru
 
 
 def mean_test(panel, mu0, alpha: float, m: int | None = None, use_t: bool = True) -> TestResult:
-    """Reject the hypothesized mean vector iff some interval misses it."""
+    """Reject the hypothesized mean vector iff some interval misses it.
+
+    Checks run in order: the panel, then alpha or m, then mu0.
+    """
     ci = simultaneous_ci(panel, alpha=alpha, m=m, use_t=use_t)
     mu = np.asarray(mu0, dtype=float)
     if mu.ndim != 1 or mu.size != ci.p:
