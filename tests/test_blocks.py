@@ -127,6 +127,14 @@ class TestBlockSums:
         with pytest.raises(DataError, match=r"series must be 1-D, got shape \(1, 8\)"):
             block_sums(np.zeros((1, 8)), interlace_partition(8, 2), "odd")
 
+    def test_linearity(self):
+        rng = np.random.default_rng(5)
+        x, z = rng.standard_normal(40), rng.standard_normal(40)
+        part = batch_partition(40, 4)
+        left = block_sums(3.0 * x - 2.0 * z, part, "batch").values
+        right = 3.0 * block_sums(x, part, "batch").values - 2.0 * block_sums(z, part, "batch").values
+        np.testing.assert_allclose(left, right, atol=1e-12)
+
 
 class TestFiniteArray:
     def test_returns_float_array(self):
@@ -140,18 +148,11 @@ class TestFiniteArray:
             (np.zeros((0, 3)), 2, r"panel must be nonempty, got shape \(0, 3\)"),
             ([[1.0, -np.inf]], 2, "panel contains non-finite values"),
         ],
+        ids=["rank", "empty", "non-finite"],
     )
     def test_errors_name_the_input(self, data, ndim, message):
         with pytest.raises(DataError, match=message):
             finite_array(data, ndim, "panel")
-
-    def test_linearity(self):
-        rng = np.random.default_rng(5)
-        x, z = rng.standard_normal(40), rng.standard_normal(40)
-        part = batch_partition(40, 4)
-        left = block_sums(3.0 * x - 2.0 * z, part, "batch").values
-        right = 3.0 * block_sums(x, part, "batch").values - 2.0 * block_sums(z, part, "batch").values
-        np.testing.assert_allclose(left, right, atol=1e-12)
 
 
 def _assert_valid_partition(part):

@@ -140,6 +140,7 @@ class TestDegenerateAndErrors:
             lambda x: i_n_star(x, 2),
             lambda x: t_n_star(x, 2),
         ],
+        ids=["w_n", "w_n_star", "i_n", "i_n_star", "t_n_star"],
     )
     def test_one_kernel_per_scalar_call(self, monkeypatch, call):
         built = []
