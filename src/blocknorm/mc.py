@@ -13,9 +13,9 @@ zero under every continuous model here, so more than 0.1% of them
 aborts the run as a configuration bug. A threshold whose reference
 tail underflows double precision (below the smallest normal float, as
 the normal tail does past x = 37.5) has no meaningful ratio and is
-rejected before any path is drawn. So is a mu0 whose centering term
-could overflow: 2*m*|mu0|*sqrt(k) must be finite for the Student
-statistics and its square for the raw ones (stats.make_kernel).
+rejected before any path is drawn. So is a mu0 whose centering could
+overflow: with m the block length and k the block-sum count,
+2*m*|mu0|*sqrt(k) must be finite (squared, for the raw statistics).
 """
 
 from __future__ import annotations
