@@ -132,11 +132,7 @@ def exponents_to_sizes(n: int, alpha1: float, alpha2: float) -> tuple[int, int]:
         raise ConfigurationError(
             f"exponents must satisfy 0 < alpha2 <= alpha1 < 1, got ({alpha1}, {alpha2})"
         )
-    m1 = math.floor(n**alpha1)
-    m2 = math.floor(n**alpha2)
-    if m2 < 1:
-        raise ConfigurationError(f"n={n} too small for block size >= 1 at alpha2={alpha2}")
-    return m1, m2
+    return math.floor(n**alpha1), math.floor(n**alpha2)  # n**alpha >= 1 for n >= 1, so both are >= 1
 
 
 def periods(scheme: BlockScheme, n: int) -> int:
@@ -175,8 +171,14 @@ def batch_partition(n: int, m: int) -> BlockPartition:
 
 
 def finite_array(data, ndim: int, name: str) -> np.ndarray:
-    """data as a nonempty float array of ndim axes with finite values, else DataError."""
-    x = np.asarray(data, dtype=float)
+    """data as a nonempty float array of ndim axes with finite real values, else DataError."""
+    try:
+        x = np.asarray(data)
+        if np.iscomplexobj(x):
+            raise TypeError("got complex values")
+        x = x.astype(float, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{name} must be a rectangular array of real numbers: {exc}") from None
     if x.ndim != ndim:
         raise DataError(f"{name} must be {ndim}-D, got shape {x.shape}")
     if x.size < 1:
@@ -194,6 +196,16 @@ def tagged_sums(x: np.ndarray, scheme: BlockScheme, k: int, tag: str) -> np.ndar
     if not sums:
         raise ConfigurationError(f"tag {tag!r} does not exist in scheme {scheme.as_dict()['scheme']!r}")
     return np.stack(sums, axis=2).reshape(x.shape[0], -1)
+
+
+def scale_exponent(y: np.ndarray) -> np.ndarray:
+    """Per row of block sums, the exponent e that puts max |Y| * 2^-e in [0.5, 1).
+
+    Scaling by 2^-e is exact, so a scale-free statistic computed from the
+    scaled sums keeps its bits, and their squares can neither overflow nor
+    underflow. An all-zero row gets e = 0.
+    """
+    return np.frexp(np.abs(y).max(axis=-1))[1]
 
 
 def interlace_sums_matrix(x: np.ndarray, m: int, k: int) -> np.ndarray:

@@ -14,6 +14,19 @@ interval is
 with q the 1 - alpha/(2p) quantile of either the standard normal or,
 by default, Student t with k-1 degrees of freedom (the small-sample
 correction). Block length defaults to round(n**0.25).
+
+This halfwidth is sqrt((k-1)/k) times the interval that inverts the
+Student statistic i_n_star against t(k-1), whose denominator divides
+the spread by sqrt(k-1) instead of sqrt(k): the intervals are narrower
+than the Student t interval, and mean_test rejects in a band where
+i_n_star does not. This is a known defect, kept for now because
+widening the intervals changes the panel-coverage benchmark's
+recorded decisions.
+
+Each coordinate's block sums are scaled by the power of two that
+brings their largest |Y| below 1, and centers and halfwidths are
+scaled back; both steps are exact, so the intervals are exactly
+equivariant under scaling by a power of two.
 """
 
 from __future__ import annotations
@@ -25,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import Interlace, finite_array, interlace_sums_matrix, periods
+from .blocks import Interlace, finite_array, interlace_sums_matrix, periods, scale_exponent
 from .dist import NORMAL, RefDist, ref_quantile, student_t
 from .errors import ConfigurationError, DataError
 
@@ -107,13 +120,15 @@ def simultaneous_ci(panel, alpha: float, m: int | None = None, use_t: bool = Tru
 
     # odd block sums per coordinate: treat columns as rows of a batch
     y = interlace_sums_matrix(z.T, m, k)  # (p, k)
+    e = scale_exponent(y)  # computed at unit scale, then scaled back, both exactly
+    y = np.ldexp(y, -e[:, np.newaxis])
     ybar = y.mean(axis=1)
     spread = np.sqrt(((y - ybar[:, np.newaxis]) ** 2).sum(axis=1))
     source = student_t(k - 1) if use_t else NORMAL
     q = ref_quantile(source, 1.0 - alpha / (2.0 * p))
     return CiSet(
-        centers=ybar / m,
-        halfwidths=q * spread / (k * m),
+        centers=np.ldexp(ybar / m, e),
+        halfwidths=np.ldexp(q * spread / (k * m), e),
         alpha=alpha,
         m=m,
         k=k,

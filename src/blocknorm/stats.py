@@ -21,6 +21,11 @@ equal sqrt((k-1)/k) times the unscaled ratio
 sum(Y - m*mu) / sqrt(sum((Y - mean(Y))^2)): the Student form divides
 that ratio by sqrt(k/(k-1)).
 
+Block sums are scaled by the power of two that brings each row's
+largest |Y| below 1 before they are squared (one power for both samples
+of TwoSampleW). The scaling is exact, so the statistics keep their bits
+and stay finite on data near the ends of double range.
+
 Every statistic raises DegenerateDenominatorError, not an infinity, when
 its denominator vanishes (all block sums zero, or all equal for the
 centered versions), so Monte Carlo callers can count such draws.
@@ -36,7 +41,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import Batch, BigSmall, BlockScheme, Interlace, finite_array, periods, tagged_sums
+from .blocks import (
+    Batch,
+    BigSmall,
+    BlockScheme,
+    Interlace,
+    finite_array,
+    periods,
+    scale_exponent,
+    tagged_sums,
+)
 from .dist import NORMAL, RefDist, student_t
 from .errors import ConfigurationError, DegenerateDenominatorError
 
@@ -72,6 +86,7 @@ class TwoSampleData:
 
 def _selfnorm_rows(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sum(Y)/sqrt(sum(Y^2)) per row, with an all-zero degeneracy mask."""
+    y = np.ldexp(y, -scale_exponent(y)[:, np.newaxis])
     degenerate = np.all(y == 0.0, axis=1)
     num = y.sum(axis=1)
     den = np.sqrt((y * y).sum(axis=1))
@@ -82,6 +97,9 @@ def _selfnorm_rows(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _student_rows(y: np.ndarray, hyp_block_mean: float) -> tuple[np.ndarray, np.ndarray]:
     """One-sample t statistic per row of block sums; degenerate when all sums tie."""
     k = y.shape[1]
+    e = scale_exponent(y)
+    y = np.ldexp(y, -e[:, np.newaxis])
+    hyp_block_mean = np.ldexp(hyp_block_mean, -e)
     degenerate = y.max(axis=1) == y.min(axis=1)
     sd = y.std(axis=1, ddof=1)
     num = (y.mean(axis=1) - hyp_block_mean) * np.sqrt(k)
@@ -228,6 +246,8 @@ def two_sample_w(data: TwoSampleData, m1: int, m2: int) -> StatValue:
         )
     y1 = tagged_sums(x1[np.newaxis, :], scheme, k1, "big")[0]
     y2 = tagged_sums(x2[np.newaxis, :], scheme, k2, "big")[0]
+    e = max(scale_exponent(y1), scale_exponent(y2))  # one power for both keeps their ratio
+    y1, y2 = np.ldexp(y1, -e), np.ldexp(y2, -e)
     v1_sq = float((y1 * y1).sum())
     v2_sq = float((y2 * y2).sum())
     if v1_sq == 0.0 and v2_sq == 0.0:

@@ -31,6 +31,11 @@ class TestExponents:
         with pytest.raises(ConfigurationError):
             exponents_to_sizes(1000, 1.0, 0.5)
 
+    def test_smallest_n_gives_unit_blocks(self):
+        # n**alpha >= 1 whenever n >= 1, so no accepted n leaves a block size below 1
+        assert exponents_to_sizes(1, 0.9, 1e-300) == (1, 1)
+        assert exponents_to_sizes(2, 0.5, 0.01) == (1, 1)
+
 
 class TestBigSmallPartition:
     def test_design_1000_43_7(self):
@@ -55,6 +60,12 @@ class TestBigSmallPartition:
             bbsb_partition(10, 2, 3)  # m1 < m2
         with pytest.raises(ConfigurationError):
             BigSmall(3, 0)
+
+
+@pytest.mark.parametrize("scheme", [Interlace, Batch])
+def test_equal_block_schemes_need_positive_size(scheme):
+    with pytest.raises(ConfigurationError, match="block size must be >= 1, got m=0"):
+        scheme(0)
 
 
 class TestInterlacePartition:
@@ -147,8 +158,11 @@ class TestFiniteArray:
             ([1.0, 2.0], 2, r"panel must be 2-D, got shape \(2,\)"),
             (np.zeros((0, 3)), 2, r"panel must be nonempty, got shape \(0, 3\)"),
             ([[1.0, -np.inf]], 2, "panel contains non-finite values"),
+            (["a"] * 10, 1, "panel must be a rectangular array of real numbers: could not convert"),
+            ([[1.0], [1.0, 2.0]], 2, "panel must be a rectangular array of real numbers: .*inhomogeneous"),
+            (np.array([1 + 2j] * 10), 1, "panel must be a rectangular array of real numbers: got complex"),
         ],
-        ids=["rank", "empty", "non-finite"],
+        ids=["rank", "empty", "non-finite", "non-numeric", "ragged", "complex"],
     )
     def test_errors_name_the_input(self, data, ndim, message):
         with pytest.raises(DataError, match=message):

@@ -1,5 +1,7 @@
 """Simultaneous intervals and mean-vector tests on panels."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,28 @@ class TestIntervalProperties:
         ci2 = simultaneous_ci(mapped, alpha=0.1, m=8)
         assert ci2.centers[1] == pytest.approx(c * ci.centers[1] + d, rel=1e-12)
         assert ci2.halfwidths[1] == pytest.approx(c * ci.halfwidths[1], rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [2.0**600, 2.0**-600], ids=["2^600", "2^-600"])
+    def test_exact_equivariance_at_extreme_scales(self, scale):
+        z = _panel(p=3)
+        ci = simultaneous_ci(z, alpha=0.05, m=8)
+        scaled = simultaneous_ci(scale * z, alpha=0.05, m=8)
+        assert np.array_equal(scaled.centers, scale * ci.centers)
+        assert np.array_equal(scaled.halfwidths, scale * ci.halfwidths)
+
+    def test_halfwidth_is_the_student_interval_times_sqrt_k_minus_1_over_k(self):
+        # Known defect, pinned so that its fix changes this test on purpose: the halfwidth
+        # q * sqrt(sum (Y - mean Y)^2) / (k*m) is sqrt((k-1)/k) times the interval that
+        # inverts i_n_star against t(k-1), so at its edges |i_n_star| = sqrt((k-1)/k) * q
+        # and mean_test rejects in a band where i_n_star does not.
+        z = _panel(n=600, p=1, seed=9)
+        m, k, alpha = 12, 25, 0.05
+        ci = simultaneous_ci(z, alpha=alpha, m=m)
+        q = ref_quantile(student_t(k - 1), 1.0 - alpha / 2.0)
+        for edge in (ci.lower()[0], ci.upper()[0]):
+            stat = abs(i_n_star(z[:, 0], m, edge).value)
+            assert stat == pytest.approx(math.sqrt((k - 1) / k) * q, rel=1e-12)
+            assert stat < q
 
     def test_matches_univariate_studentized_statistic(self):
         # for p = 1 the test rejects exactly when |t| exceeds the t quantile

@@ -6,6 +6,7 @@ are easy to carry by hand: odd/big sums (3, 11), batch sums
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,21 @@ class TestDegenerateAndErrors:
             w_n_star(x, 12, 3, mu=1e307)
         assert math.isfinite(w_n_star(x, 12, 3, mu=1e300).value)
 
+    @pytest.mark.parametrize(
+        "series",
+        [["a"] * 10, [[1.0], [1.0, 2.0]], np.array([1 + 2j] * 10)],
+        ids=["non-numeric", "ragged", "complex"],
+    )
+    def test_non_real_series_is_a_data_error(self, series):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning: the imaginary parts are not dropped
+            with pytest.raises(DataError, match="series must be a rectangular array of real numbers"):
+                i_n(series, 1)
+
+    def test_two_sample_needs_a_block_pair_in_each_sample(self):
+        with pytest.raises(ConfigurationError, match="at least one full block pair: k1=3, k2=0"):
+            two_sample_w(TwoSampleData(np.arange(18.0), np.arange(5.0)), 4, 2)
+
     def test_two_sample_errors_name_the_sample(self):
         with pytest.raises(DataError, match="x2 contains non-finite values"):
             two_sample_w(TwoSampleData(np.arange(10.0), np.array([1.0, np.inf])), 2, 1)
@@ -180,6 +196,24 @@ def _random_case(rng):
 
 
 class TestInvarianceProperties:
+    @pytest.mark.parametrize("scale", [2.0**600, 2.0**-600], ids=["2^600", "2^-600"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x, c: w_n(x, 12, 4),
+            lambda x, c: w_n_star(x, 12, 4, 0.1 * c),
+            lambda x, c: i_n(x, 10),
+            lambda x, c: i_n_star(x, 10, 0.1 * c),
+            lambda x, c: t_n_star(x, 10),
+            lambda x, c: two_sample_w(TwoSampleData(x[:120], x[120:] + c), 12, 4),
+        ],
+        ids=["w_n", "w_n_star", "i_n", "i_n_star", "t_n_star", "two_sample_w"],
+    )
+    def test_exact_invariance_at_extreme_scales(self, call, scale):
+        # squared block sums of such data leave double range; scaling by a power of two does not
+        x = np.random.default_rng(43).standard_normal(240)
+        assert call(scale * x, scale).value == call(x, 1.0).value
+
     def test_positive_scale_invariance(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
