@@ -122,10 +122,13 @@ class AR1:
 
 @dataclass(frozen=True)
 class ARCH1:
-    """U_i = sqrt(a^2 + b^2 * U_{i-1}^2) * eps_i with finite a > 0 and 0 <= b < 1.
+    """U_i = sqrt(a^2 + b^2 * U_{i-1}^2) * eps_i with 2^-511 <= a < 2^500 and 0 <= b < 1.
 
     The statistics downstream are scale-free, so a only sets the units;
-    it defaults to 1.
+    it defaults to 1. The bounds on a come from the recursion, which
+    squares a and U: a*a must be a normal double (a >= 2^-511), and U*U
+    must stay finite while |U|/a reaches 2^12, the headroom granted to the
+    heavy ARCH tails (a * 2^12 < 2^512, so a < 2^500, about 3.3e150).
     """
 
     param: ClassVar[str] = "b"  # the parameter a ratio grid varies
@@ -135,6 +138,11 @@ class ARCH1:
     def __post_init__(self) -> None:
         if not 0.0 < self.a < math.inf:
             raise ConfigurationError(f"ARCH(1) needs a finite a > 0, got a={self.a}")
+        if not 2.0**-511 <= self.a < 2.0**500:
+            raise ConfigurationError(
+                f"ARCH(1) needs 2^-511 <= a < 2^500 so that a*a is a normal double with 2^12 "
+                f"headroom for |U|/a, got a={self.a:g}"
+            )
         if not 0.0 <= self.b < 1.0:
             raise ConfigurationError(f"ARCH(1) needs 0 <= b < 1, got b={self.b}")
 

@@ -453,6 +453,67 @@ class TestConfigResolution:
             assert (code, out) == (1, "")
             assert err.startswith("blocknorm: configuration error: ")
 
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["simulate", "--stat", "i-star", "--m", "10"], 1, "simulate needs --process"),
+            (["simulate", "--process", "iid", "--m", "10"], 1, "simulate needs --stat"),
+            (
+                ["simulate", "--process", "ar1", "--rho", "0.5", "--rho-grid", "0:0.5:0.5",
+                 "--stat", "i-star", "--m", "10"],
+                1,
+                "give either --rho or --rho-grid, not both",
+            ),
+            (["simulate", "--process", "iid", "--stat", "w-star"], 1, "big-small statistics need --m1 and --m2"),
+            (["simulate", "--process", "iid", "--stat", "i-star"], 1, "this statistic needs a block length --m"),
+            (["simulate", "--config", "{tmp}/run.cfg"], 1, "run.cfg:2: expected 'key = value', got 'stat i-star'"),
+            (["simulate", "--config", "{tmp}/missing.cfg"], 1, "cannot read config file"),
+            (["test", "{tmp}/panel.csv", "--mu0", "{tmp}/mu0.csv"], 2, "expected one row or one column of 2 values"),
+        ],
+        ids=["no-process", "no-stat", "rho-and-rho-grid", "no-m1-m2", "no-m", "config-line-without-equals",
+             "unreadable-config", "2-d-mu0"],
+    )
+    def test_usage_mistake_ends_in_one_line(self, capsys, panel_csv, tmp_path, argv, code, message):
+        (tmp_path / "run.cfg").write_text("process = iid\nstat i-star\n")
+        (tmp_path / "mu0.csv").write_text("0,0\n0,0\n")
+        kind = {1: "configuration error", 2: "data error"}[code]
+        got, out, err = _run(capsys, *(arg.replace("{tmp}", str(tmp_path)) for arg in argv))
+        assert (got, out) == (code, "")
+        assert err.startswith(f"blocknorm: {kind}: ") and message in err
+        assert err.count("\n") == 1
+
+    def test_config_comments_and_blank_lines_are_skipped(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "# tail run\n\nprocess = iid  # the null\n   \nstat = i-star\nm = 10\nn = 100\nreps = 10\n"
+            "seed = 6  # seed\n"
+        )
+        code, out, err = _run(capsys, "simulate", "--config", str(cfg), "--format", "json")
+        assert code == 0, err
+        config = json.loads(out)["metadata"]["config"]
+        assert (config["process"], config["stat"], config["m"], config["master_seed"]) == ("iid", "i-star", 10, 6)
+
+    @pytest.mark.parametrize("a", ["1e160", "1e-170", str(2.0**500)], ids=["1e160", "1e-170", "2^500"])
+    def test_arch_scale_the_recursion_cannot_hold_is_a_configuration_error(self, capsys, a):
+        code, out, err = _run(
+            capsys, "simulate", "--process", "arch1", "--b", "0.5", "--a", a, "--n", "100",
+            "--stat", "i-star", "--m", "10", "--reps", "10",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("blocknorm: configuration error: ARCH(1) needs 2^-511 <= a < 2^500")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("a", ["3e150", "2e-154"])
+    def test_arch_scale_just_inside_the_bounds_completes(self, capsys, a):
+        code, out, err = _run(
+            capsys, "simulate", "--process", "arch1", "--b", "0.9", "--a", a, "--n", "1000",
+            "--stat", "i-star", "--m", "50", "--reps", "200", "--format", "json",
+        )
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["metadata"]["degenerate_count"] == 0
+        assert all(np.isfinite(payload["rows"]["mc_tail"]))
+
     def test_oversized_grid_is_a_configuration_error(self, capsys):
         code, out, err = _run(
             capsys, "simulate", "--process", "iid", "--stat", "i-star", "--m", "10",

@@ -183,6 +183,10 @@ class TestDomainErrors:
         with pytest.raises(DomainError):
             student_t(-1)
 
+    def test_non_integer_degrees_of_freedom(self):
+        with pytest.raises(DomainError, match="degrees of freedom must be an integer, got 2.5"):
+            student_t(2.5)
+
     def test_bad_probabilities(self):
         for p in (0.0, 1.0, -0.2, 1.7, math.nan):
             with pytest.raises(DomainError):
@@ -228,6 +232,20 @@ class TestArrayPath:
         assert low.any() and (~low).any()
         # and the lanes that skip it: x = 0, x * x underflowing, x * x overflowing
         assert (x_beta == 1.0).any() and (x_beta == 0.0).any()
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at-threshold", "above"])
+    @pytest.mark.parametrize("df", [9, 141])
+    def test_lane_threshold_bit_identical_to_scalar_calls(self, monkeypatch, df, extra):
+        # up to _LOOP_LANES lanes of one branch run the scalar loop, one more runs the array loop
+        lanes = dist._LOOP_LANES + extra
+        array_calls = []
+        array_loop = dist._beta_cont_frac_array
+        monkeypatch.setattr(dist, "_beta_cont_frac_array", lambda *a: array_calls.append(a) or array_loop(*a))
+        d = student_t(df)
+        # |x| >= 2 keeps every lane on the direct branch, 0 < |x| <= 0.1 on the complement branch
+        for xs in (np.linspace(2.0, 6.0, lanes), np.linspace(-0.1, -0.01, lanes)):
+            assert np.array_equal(ref_upper(d, xs), [ref_upper(d, float(x)) for x in xs])
+        assert len(array_calls) == 2 * extra
 
     @pytest.mark.parametrize("d", [NORMAL, student_t(9)], ids=lambda d: d.label())
     def test_shapes(self, d):

@@ -44,6 +44,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             _config(x_grid=(2.0, 1.0))
 
+    def test_x_grid_must_be_nonempty(self):
+        with pytest.raises(ConfigurationError, match="x_grid must be nonempty"):
+            _config(x_grid=())
+
     def test_reps_positive(self):
         with pytest.raises(ConfigurationError):
             _config(reps=0)
@@ -307,6 +311,10 @@ class TestGridsAndSerialization:
         lines = ratio_grid_csv(grid).strip().splitlines()
         assert lines[0] == "x,b=0,b=0.5,full:b=0,full:b=0.5"
         assert len(lines) == 3
+
+    def test_grid_needs_parameter_values(self):
+        with pytest.raises(ConfigurationError, match="parameter grid must be nonempty"):
+            ratio_grid(_config(process=AR1(0.0)), [])
 
     def test_grid_requires_parametric_process(self):
         with pytest.raises(ConfigurationError):

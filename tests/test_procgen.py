@@ -267,6 +267,14 @@ class TestParameterValidation:
             with pytest.raises(ConfigurationError, match="finite"):
                 ARCH1(b=0.5, a=a)
 
+    def test_arch_scale_edges(self):
+        # a*a must be a normal double, and U*U must stay finite while |U|/a reaches 2^12
+        for a in (2.0**-511, math.nextafter(2.0**500, 0.0)):
+            assert ARCH1(b=0.5, a=a).a == a
+        for a in (math.nextafter(2.0**-511, 0.0), 2.0**500):
+            with pytest.raises(ConfigurationError, match="2\\^-511 <= a < 2\\^500"):
+                ARCH1(b=0.5, a=a)
+
     def test_hd_linear_ranges(self):
         with pytest.raises(ConfigurationError):
             HDLinear(p=0, decay=0.5)
