@@ -12,20 +12,19 @@ bracketed bisection refined by Newton steps, and each (distribution, p)
 is inverted once: `ref_quantile` memoizes its results (failures are
 never cached). Degrees of freedom are integers only.
 
-Array inputs. `ref_upper` and `ref_cdf` also take an ndarray (or a list)
-and return an ndarray of the same shape; any non-finite entry raises
-`DomainError`. A scalar runs through the same evaluation as a one-element
-list. For each t tail, z = df / (df + x^2), the cases z = 0 and z = 1,
-the front factor exp(lgamma terms + a log z + b log1p(-z)), the branch
-choice, the complement and the sign are computed per element with
-`math`, not numpy, whose log, log1p and exp differ from the C library's
-in the last bit on some inputs. Only the continued fraction is batched,
-per branch: up to `_LOOP_LANES` lanes run `_beta_cont_frac` once each,
-more run `_beta_cont_frac_array`, which performs the same operations in
-the same order per lane and drops each lane at the step where the scalar
-loop would return. The threshold is the measured crossover (2 cores,
-numpy 2.4.6, Python 3.11.7): the array loop wins from 48-64 lanes for
-df 1-19, from 64-96 for df 141 and from 96-128 for df 1000.
+Array inputs. `ref_upper` and `ref_cdf` also take an ndarray or list and
+return an ndarray of its shape (a non-finite entry raises
+`DomainError`); a scalar is evaluated as a one-element list. Per element
+and with `math` (numpy's log, log1p and exp differ from the C library's
+in the last bit on some inputs), a t tail takes z = df / (df + x^2), the
+cases z = 0 and z = 1, the front factor exp(lgamma terms + a log z + b
+log1p(-z)), the branch, the complement and the sign. Only the continued
+fraction is batched, per branch: up to `_LOOP_LANES` lanes run
+`_beta_cont_frac` once each, more run `_beta_cont_frac_array`, which
+performs the same operations in the same order per lane and leaves each
+lane at the step where the scalar loop returns. `_LOOP_LANES` is the
+measured crossover (2 cores, numpy 2.4.6, Python 3.11.7): the array loop
+wins from 48-64 lanes at df 1-19 and from 96-128 at df 1000.
 """
 
 from __future__ import annotations
@@ -83,7 +82,7 @@ def normal_cdf(x: float) -> float:
 
 def normal_upper(x: float) -> float:
     """Upper tail of the standard normal, accurate deep into the tail."""
-    return _normal_upper([_require_finite(x)])[0]
+    return _upper(NORMAL, [_require_finite(x)])[0]
 
 
 def _normal_pdf(x: float) -> float:
@@ -189,25 +188,26 @@ def _t_upper(xs: list[float], df: int) -> list[float]:
     a, b = 0.5 * df, 0.5
     ln_c = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
     split = (a + 1.0) / (a + b + 2.0)
-    upper = []
-    direct, complement = [], []  # (lane, z, front) per continued-fraction branch
-    for x in xs:
-        z = df / (df + x * x)  # z = 0 when x * x overflows, z = 1 when x = 0 or x * x underflows
-        if 0.0 < z < 1.0:
-            front = math.exp(ln_c + a * math.log(z) + b * math.log1p(-z))
-            (direct if z < split else complement).append((len(upper), z, front))
-        upper.append(0.5 if z >= 1.0 else 0.0)
-    if direct:
-        for (i, _, front), cf in zip(direct, _cont_frac(a, b, [z for _, z, _ in direct])):
+    upper = [0.5] * len(xs)  # z = 1: x = 0, or x * x underflows
+    direct, complement = ([], [], []), ([], [], [])  # lanes, z, fronts: no tuple per lane to collect
+    for i, x in enumerate(xs):
+        z = df / (df + x * x)
+        if z <= 0.0:  # x * x overflows
+            upper[i] = 0.0
+        elif z < 1.0:
+            lanes, zs, fronts = direct if z < split else complement
+            lanes.append(i)
+            zs.append(z)
+            fronts.append(math.exp(ln_c + a * math.log(z) + b * math.log1p(-z)))
+    lanes, zs, fronts = direct
+    if lanes:
+        for i, front, cf in zip(lanes, fronts, _cont_frac(a, b, zs)):
             upper[i] = 0.5 * (front * cf / a)
-    if complement:
-        for (i, _, front), cf in zip(complement, _cont_frac(b, a, [1.0 - z for _, z, _ in complement])):
+    lanes, zs, fronts = complement
+    if lanes:
+        for i, front, cf in zip(lanes, fronts, _cont_frac(b, a, [1.0 - z for z in zs])):
             upper[i] = 0.5 * (1.0 - front * cf / b)
     return [u if x >= 0.0 else 1.0 - u for x, u in zip(xs, upper)]
-
-
-def _normal_upper(xs: list[float]) -> list[float]:
-    return [0.5 * math.erfc(x / _SQRT2) for x in xs]
 
 
 def _check_df(df: int) -> int:
@@ -239,7 +239,9 @@ def _is_array(x) -> bool:
 
 
 def _upper(dist: RefDist, xs: list[float]) -> list[float]:
-    return _normal_upper(xs) if dist.is_normal else _t_upper(xs, dist.df)
+    if dist.is_normal:
+        return [0.5 * math.erfc(x / _SQRT2) for x in xs]
+    return _t_upper(xs, dist.df)
 
 
 def ref_cdf(dist: RefDist, x):

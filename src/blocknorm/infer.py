@@ -121,7 +121,7 @@ def simultaneous_ci(panel, alpha: float, m: int | None = None, use_t: bool = Tru
     # odd block sums per coordinate: treat columns as rows of a batch
     y = interlace_sums_matrix(z.T, m, k)  # (p, k)
     e = scale_exponent(y)  # computed at unit scale, then scaled back, both exactly
-    y = np.ldexp(y, -e[:, np.newaxis])
+    np.ldexp(y, -e[:, np.newaxis], out=y)
     ybar = y.mean(axis=1)
     spread = np.sqrt(((y - ybar[:, np.newaxis]) ** 2).sum(axis=1))
     source = student_t(k - 1) if use_t else NORMAL

@@ -85,8 +85,8 @@ class TwoSampleData:
 
 
 def _selfnorm_rows(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sum(Y)/sqrt(sum(Y^2)) per row, with an all-zero degeneracy mask."""
-    y = np.ldexp(y, -scale_exponent(y)[:, np.newaxis])
+    """sum(Y)/sqrt(sum(Y^2)) per row, with an all-zero degeneracy mask; scales y in place."""
+    np.ldexp(y, -scale_exponent(y)[:, np.newaxis], out=y)
     degenerate = np.all(y == 0.0, axis=1)
     num = y.sum(axis=1)
     den = np.sqrt((y * y).sum(axis=1))
@@ -95,10 +95,10 @@ def _selfnorm_rows(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _student_rows(y: np.ndarray, hyp_block_mean: float) -> tuple[np.ndarray, np.ndarray]:
-    """One-sample t statistic per row of block sums; degenerate when all sums tie."""
+    """One-sample t statistic per row of block sums; degenerate when all sums tie. Scales y in place."""
     k = y.shape[1]
     e = scale_exponent(y)
-    y = np.ldexp(y, -e[:, np.newaxis])
+    np.ldexp(y, -e[:, np.newaxis], out=y)
     hyp_block_mean = np.ldexp(hyp_block_mean, -e)
     degenerate = y.max(axis=1) == y.min(axis=1)
     sd = y.std(axis=1, ddof=1)
@@ -247,7 +247,8 @@ def two_sample_w(data: TwoSampleData, m1: int, m2: int) -> StatValue:
     y1 = tagged_sums(x1[np.newaxis, :], scheme, k1, "big")[0]
     y2 = tagged_sums(x2[np.newaxis, :], scheme, k2, "big")[0]
     e = max(scale_exponent(y1), scale_exponent(y2))  # one power for both keeps their ratio
-    y1, y2 = np.ldexp(y1, -e), np.ldexp(y2, -e)
+    np.ldexp(y1, -e, out=y1)
+    np.ldexp(y2, -e, out=y2)
     v1_sq = float((y1 * y1).sum())
     v2_sq = float((y2 * y2).sum())
     if v1_sq == 0.0 and v2_sq == 0.0:
