@@ -23,8 +23,8 @@ fraction is batched, per branch: up to `_LOOP_LANES` lanes run
 `_beta_cont_frac` once each, more run `_beta_cont_frac_array`, which
 performs the same operations in the same order per lane and leaves each
 lane at the step where the scalar loop returns. `_LOOP_LANES` is the
-measured crossover (2 cores, numpy 2.4.6, Python 3.11.7): the array loop
-wins from 48-64 lanes at df 1-19 and from 96-128 at df 1000.
+measured crossover (2 cores, numpy 2.4.6, Python 3.11.7): by df and
+branch, the array loop starts to win between 48 and 96 lanes.
 """
 
 from __future__ import annotations
