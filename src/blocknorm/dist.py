@@ -14,17 +14,16 @@ never cached). Degrees of freedom are integers only.
 
 Array inputs. `ref_upper` and `ref_cdf` also take an ndarray or list and
 return an ndarray of its shape (a non-finite entry raises
-`DomainError`); a scalar is evaluated as a one-element list. Per element
-and with `math` (numpy's log, log1p and exp differ from the C library's
-in the last bit on some inputs), a t tail takes z = df / (df + x^2), the
-cases z = 0 and z = 1, the front factor exp(lgamma terms + a log z + b
-log1p(-z)), the branch, the complement and the sign. Only the continued
-fraction is batched, per branch: up to `_LOOP_LANES` lanes run
-`_beta_cont_frac` once each, more run `_beta_cont_frac_array`, which
-performs the same operations in the same order per lane and leaves each
-lane at the step where the scalar loop returns. `_LOOP_LANES` is the
-measured crossover (2 cores, numpy 2.4.6, Python 3.11.7): by df and
-branch, the array loop starts to win between 48 and 96 lanes.
+`DomainError`); a scalar is evaluated as a one-element list. Each t
+tail's z = df / (df + x^2), its z = 0 and z = 1 cases, front factor,
+branch, complement and sign are computed per element with `math`, not
+numpy, whose log, log1p and exp differ from the C library's in the last
+bit on some inputs. Only the continued fraction is batched, per branch:
+up to `_LOOP_LANES` lanes run `_beta_cont_frac` once each, more run
+`_beta_cont_frac_array`, which performs the same operations in the same
+order per lane and leaves each lane at the step where the scalar loop
+returns. `_LOOP_LANES` sits in the measured crossover, 48 to 96 lanes by
+df and branch (2 cores, numpy 2.4.6, Python 3.11.7).
 """
 
 from __future__ import annotations
@@ -266,7 +265,8 @@ def ref_upper(dist: RefDist, x):
     bad = x[~np.isfinite(x)]
     if bad.size:
         raise DomainError(f"argument must be finite, got {bad[0]!r}")
-    return np.array(_upper(dist, x.ravel().tolist()), dtype=float).reshape(x.shape)
+    upper = _upper(dist, x.ravel().tolist())
+    return np.array(upper, dtype=float).reshape(x.shape)
 
 
 def _ref_pdf(dist: RefDist, x: float) -> float:
