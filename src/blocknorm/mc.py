@@ -15,7 +15,7 @@ tail underflows double precision (below the smallest normal float, as
 the normal tail does past x = 37.5) has no meaningful ratio and is
 rejected before any path is drawn. So is a mu0 whose centering could
 overflow: with m the block length and k the block-sum count,
-2*m*|mu0|*sqrt(k) must be finite (squared, for the raw statistics).
+2*m*|mu0|*sqrt(k) must be finite.
 """
 
 from __future__ import annotations

@@ -42,10 +42,23 @@ place over the draws, with the same floating-point operations in the
 same order as the step-by-step loops; the returned rows are therefore
 bit-identical to single-path generation, but they may be views into a
 wider array of draws rather than a contiguous array of their own.
+
+ARCH(1) draws each path in two segments into one buffer of
+max(1 + 1000, n + 1) columns, so a chunk never holds all n + 1001 draws
+of its paths. The first pass draws every row's initialization and
+burn-in and saves where the row's stream stopped: the Philox counter,
+its buffered output words and the position in them. The burn-in
+recursion then reduces those columns to U_1000 without writing them
+back, and the second pass restores each row's saved state and draws the
+n emitted innovations over them, with U_1000 in column 0. Restoring the
+counter, buffer and position resumes the stream exactly where it
+stopped, so every row draws the same n + 1001 normals in the same order
+as in one pass, and the protocol above is unchanged.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Sequence, Union
@@ -88,7 +101,9 @@ class IIDNormal:
     """Independent standard normal observations."""
 
     def paths(self, n: int, seeds: Sequence[Seed]) -> np.ndarray:
-        return _innovations(seeds, n)
+        out = np.empty((len(seeds), n))
+        _innovations(seeds, out)
+        return out
 
     def as_dict(self) -> dict:
         return {"process": "iid"}
@@ -111,7 +126,8 @@ class AR1:
         def step(prev, cur):
             np.add(rho * prev, cur, cur)
 
-        eps = _innovations(seeds, n + 1)
+        eps = np.empty((len(seeds), n + 1))
+        _innovations(seeds, eps)
         eps[:, 0] /= math.sqrt(1.0 - rho * rho)
         _recur_in_place(eps, step)
         return eps[:, 1:]
@@ -152,10 +168,17 @@ class ARCH1:
         def step(prev, cur):
             np.multiply(np.sqrt(a * a + (b * b) * prev * prev), cur, cur)
 
-        eps = _innovations(seeds, n + 1 + ARCH_BURN_IN)
-        eps[:, 0] *= a / math.sqrt(1.0 - b * b)
-        _recur_in_place(eps, step)
-        return eps[:, 1 + ARCH_BURN_IN :]
+        # one buffer holds the burn-in draws, then U_1000 and the n emitted innovations
+        x = np.empty((len(seeds), max(1 + ARCH_BURN_IN, n + 1)))
+        if not len(seeds):
+            return x[:, 1 : n + 1]
+        burn = x[:, : 1 + ARCH_BURN_IN]
+        gen, stops = _innovations(seeds, burn, keep_stops=True)
+        burn[:, 0] *= a / math.sqrt(1.0 - b * b)
+        x[:, 0] = _recur_in_place(burn, step, write_back=False)
+        _resume_innovations(gen, seeds, x[:, 1 : n + 1], stops)
+        _recur_in_place(x[:, : n + 1], step)
+        return x[:, 1 : n + 1]
 
     def as_dict(self) -> dict:
         return {"process": "arch1", "a": self.a, "b": self.b}
@@ -194,13 +217,9 @@ _TILE = 64  # time steps per tile of the recursions
 _BAND = 256  # rows per piece of a tile's transposed copy
 
 
-def _innovations(seeds: Sequence[Seed], n_draws: int) -> np.ndarray:
-    out = np.empty((len(seeds), n_draws))
-    if not len(seeds):
-        return out
-    gen = generator(seeds[0])
-    # a fresh Philox(key=seed): key [seed, 0], counter 0, empty buffer
-    state = {
+def _fresh_state() -> dict:
+    """A Philox state dict; with key[0] set to a seed it is the state of a fresh Philox(key=seed)."""
+    return {
         "bit_generator": "Philox",
         "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
         "buffer": [0, 0, 0, 0],
@@ -208,19 +227,97 @@ def _innovations(seeds: Sequence[Seed], n_draws: int) -> np.ndarray:
         "has_uint32": 0,
         "uinteger": 0,
     }
+
+
+def _state_views(bitgen: np.random.Philox) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only views, in place, of a Philox's counter and of the five words that hold its buffer.
+
+    numpy gives the address of a bit generator's C state struct
+    (bitgen.ctypes.state_address), while its state getter copies the
+    fields into three new arrays and two dicts. Philox's struct is
+    {uint64 (*ctr)[4]; uint64 (*key)[2]; int buffer_pos; uint64 buffer[4];
+    ...}: the counter lies behind the first pointer, and the five words from
+    byte 16 hold buffer_pos (in their first four bytes) and the buffer. Both
+    must lie inside the Philox object (CPython's id is its address), and
+    _innovations checks what the views read against the getter.
+    """
+    lo, hi = id(bitgen), id(bitgen) + type(bitgen).__basicsize__
+    addr = bitgen.ctypes.state_address
+    if lo <= addr <= hi - 56:
+        ctr = ctypes.c_void_p.from_address(addr).value
+        if ctr is not None and lo <= ctr <= hi - 32:
+            words = ((ctypes.c_uint64 * 4).from_address(ctr), (ctypes.c_uint64 * 5).from_address(addr + 16))
+            return tuple(np.ctypeslib.as_array(w) for w in words)
+    raise RuntimeError(_LAYOUT_ERROR)
+
+
+_LAYOUT_ERROR = "numpy's Philox state is not laid out as procgen reads it"
+
+
+def _unpack_stops(counters: np.ndarray, tails: np.ndarray) -> tuple[list, list, list]:
+    """Counter, buffer_pos and buffer per row, as lists, from words read through _state_views."""
+    return counters.tolist(), tails[:, :1].view(np.int32)[:, 0].tolist(), tails[:, 1:].tolist()
+
+
+def _innovations(seeds: Sequence[Seed], out: np.ndarray, keep_stops: bool = False):
+    """Fill row r of out with the first standard normals of seeds[r]'s stream.
+
+    One Generator serves every row: before each row its Philox is re-keyed
+    to a fresh Philox(key=seed). Returns the Generator and, with keep_stops,
+    where each row's stream stopped: (counters, tails), uint64 arrays with a
+    row per seed of the words _state_views reads. Reading them per row costs
+    a fraction of the state getter, whose allocations, under two threads,
+    slowed a 4,096-path chunk more than the shorter ARCH buffer saved.
+    """
+    if not len(seeds):
+        return None, None
+    gen = generator(seeds[0])
+    bitgen = gen.bit_generator
+    state = _fresh_state()
+    key = state["state"]["key"]
+    stops = None
+    if keep_stops:
+        counter, tail = _state_views(bitgen)
+        stops = counters, tails = np.empty((len(seeds), 4), np.uint64), np.empty((len(seeds), 5), np.uint64)
     for row, seed in enumerate(seeds):
-        state["state"]["key"][0] = int(seed) & _MASK64
-        gen.bit_generator.state = state
+        key[0] = int(seed) & _MASK64
+        bitgen.state = state
         gen.standard_normal(out=out[row])
-    return out
+        if keep_stops:
+            counters[row] = counter
+            tails[row] = tail
+    if keep_stops:
+        last = bitgen.state
+        if [v[0] for v in _unpack_stops(counters[-1:], tails[-1:])] != [
+            last["state"]["counter"].tolist(), last["buffer_pos"], last["buffer"].tolist()
+        ]:
+            raise RuntimeError(_LAYOUT_ERROR)
+    return gen, stops
 
 
-def _recur_in_place(x: np.ndarray, step) -> None:
-    """Overwrite x[:, t] with step(x[:, t-1], x[:, t]) for t = 1, 2, ... in turn.
+def _resume_innovations(gen: np.random.Generator, seeds: Sequence[Seed], out: np.ndarray, stops) -> None:
+    """Fill row r of out with the normals that follow, in seeds[r]'s stream, where stops says it stopped."""
+    bitgen = gen.bit_generator
+    state = _fresh_state()
+    inner, key = state["state"], state["state"]["key"]
+    counters, positions, buffers = _unpack_stops(*stops)
+    for row, seed in enumerate(seeds):
+        key[0] = int(seed) & _MASK64
+        inner["counter"] = counters[row]
+        state["buffer_pos"] = positions[row]
+        state["buffer"] = buffers[row]
+        bitgen.state = state
+        gen.standard_normal(out=out[row])
+
+
+def _recur_in_place(x: np.ndarray, step, write_back: bool = True) -> np.ndarray:
+    """Overwrite x[:, t] with step(x[:, t-1], x[:, t]) for t = 1, 2, ... in turn; return the last column.
 
     Time runs in tiles of _TILE steps. Each tile is copied transposed,
     _BAND rows at a time so the copy stays in cache, into a small buffer
     whose rows are time steps, so every step works on contiguous memory.
+    Without write_back, x keeps its inputs and only the returned last
+    column (a view of that buffer) holds a result.
     """
     # Each step writes only its result in place: on paths with few rows,
     # numpy dispatches an allocating ufunc faster than one given out=.
@@ -234,9 +331,11 @@ def _recur_in_place(x: np.ndarray, step) -> None:
             buf[1 : width + 1, r : r + _BAND] = x[r : r + _BAND, lo : lo + width].T
         for t in range(1, width + 1):
             step(slots[t - 1], slots[t])
-        for r in range(0, rows, _BAND):
-            x[r : r + _BAND, lo : lo + width] = buf[1 : width + 1, r : r + _BAND].T
+        if write_back:
+            for r in range(0, rows, _BAND):
+                x[r : r + _BAND, lo : lo + width] = buf[1 : width + 1, r : r + _BAND].T
         buf[0] = buf[width]
+    return buf[0]
 
 
 def generate_paths(process: ProcessSpec, n: int, seeds: Sequence[Seed]) -> np.ndarray:

@@ -143,9 +143,9 @@ class StatKernel:
 def make_kernel(kind: str, scheme: BlockScheme, n: int, mu0: float = 0.0) -> StatKernel:
     """Validate a (statistic, scheme, n, mu0) combination and build its kernel.
 
-    mu0 is in range when s = 2*m*|mu0|*sqrt(n_sums) is finite for the
-    Student kinds and s**2 is finite for the raw ones, so the centered
-    block sums, and the raw kinds' sum of their squares, cannot overflow.
+    mu0 is in range when 2*m*|mu0|*sqrt(n_sums) is finite, so the centered
+    block sums cannot overflow; their squares cannot either, because each
+    row of sums is scaled by a power of two before it is squared.
     """
     if kind not in SCHEME_BY_KIND:
         raise ConfigurationError(f"unknown statistic kind {kind!r}")
@@ -163,8 +163,7 @@ def make_kernel(kind: str, scheme: BlockScheme, n: int, mu0: float = 0.0) -> Sta
         ref = student_t(n_sums - 1)
     else:
         ref = student_t(n_sums)
-    s = 2.0 * length * abs(float(mu0)) * math.sqrt(n_sums)
-    if not math.isfinite(s if studentized else s * s):
+    if not math.isfinite(2.0 * length * abs(float(mu0)) * math.sqrt(n_sums)):
         raise ConfigurationError(
             f"mu0 = {mu0:g} is out of range for {kind} with {n_sums} block sums of length {length}"
         )

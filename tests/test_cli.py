@@ -552,6 +552,15 @@ class TestConfigResolution:
         assert err.startswith("blocknorm: configuration error: mu0 = 1e+308 is out of range")
         assert err.count("\n") == 1
 
+    def test_raw_statistic_takes_a_mu0_whose_square_overflows(self, capsys):
+        # (2 * m * mu0 * sqrt(k))**2 overflows, but the block sums are scaled before squaring
+        code, out, err = _run(
+            capsys, "simulate", "--process", "iid", "--stat", "i", "--m", "10",
+            "--n", "100", "--reps", "10", "--mu0", "1e155",
+        )
+        assert code == 0 and out.startswith("x,ratio")
+        assert json.loads(err)["config"]["config"]["mu0"] == 1e155  # the manifest, not an error
+
     def test_out_of_memory_is_a_configuration_error(self, capsys, monkeypatch):
         def too_large(process, n, seeds):
             raise MemoryError("Unable to allocate 7.28 TiB for an array")

@@ -81,8 +81,9 @@ class TestConfigValidation:
                 _config(mu0=mu0)
 
     def test_mu0_out_of_range_rejected(self):
-        with pytest.raises(ConfigurationError, match="mu0 = 1e\\+160 is out of range for In"):
-            _config(stat_kind="In", n=100, mu0=1e160)
+        # 2 * m * |mu0| * sqrt(k) = 20 * 1e307 * sqrt(5) overflows
+        with pytest.raises(ConfigurationError, match="mu0 = 1e\\+307 is out of range for In"):
+            _config(stat_kind="In", n=100, mu0=1e307)
 
     def test_mu0_in_range_keeps_its_values(self):
         # every centered odd-block sum is about -10 * 1e150, so In = -sqrt(5) on every path
@@ -402,8 +403,8 @@ class _RecordingPool:
 
 
 class TestWorkerThreadBound:
-    # three chunks of at most 4096 replications
-    CFG = dict(n=40, scheme=Interlace(10), reps=2 * 4096 + 1, x_grid=(1.0, 2.0))
+    # three chunks, the last one row
+    CFG = dict(n=40, scheme=Interlace(10), reps=2 * mc._CHUNK_REPS + 1, x_grid=(1.0, 2.0))
 
     @pytest.mark.parametrize("workers, cpus, expected", [
         (10**6, 8, [3]),  # one thread per chunk

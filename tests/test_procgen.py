@@ -1,10 +1,12 @@
 """Process generators: determinism, moments, seed derivation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import blocknorm.procgen as procgen
 from blocknorm.blocks import Interlace
 from blocknorm.errors import ConfigurationError
 from blocknorm.mc import _CHUNK_REPS, SimConfig, estimate_tail
@@ -183,6 +185,57 @@ class TestAgainstReferenceLoops:
         for field in ("mc_tail", "ref_tail", "ratio", "mc_se"):
             assert np.array_equal(getattr(one, field), getattr(three, field))
         assert one.degenerate_count == three.degenerate_count
+
+
+class TestArchSegments:
+    """ARCH(1) draws its burn-in, then its emitted innovations, into one buffer of rows."""
+
+    @pytest.mark.parametrize("n", [1, ARCH_BURN_IN - 1, ARCH_BURN_IN, ARCH_BURN_IN + 1, 1500])
+    @pytest.mark.parametrize("process", [ARCH1(b=0.9), ARCH1(b=0.5, a=0.5)], ids=["b=0.9", "b=0.5,a=0.5"])
+    def test_lengths_around_the_burn_in(self, process, n):
+        batch = generate_paths(process, n, _SEEDS)
+        assert batch.shape == (len(_SEEDS), n)
+        assert np.array_equal(batch, _reference_paths(process, n, _SEEDS))
+
+    @pytest.mark.parametrize("n", [10, 1500])
+    def test_rows_across_copy_bands(self, n):
+        seeds = [derive_rep_seed(7, r) for r in range(_BAND + 37)]
+        assert np.array_equal(generate_paths(ARCH1(b=0.9), n, seeds), _reference_paths(ARCH1(b=0.9), n, seeds))
+
+    def test_single_seed_and_no_seeds_past_the_burn_in(self):
+        one = generate_paths(ARCH1(b=0.9), 1500, [_SEEDS[5]])
+        assert np.array_equal(one, _reference_paths(ARCH1(b=0.9), 1500, [_SEEDS[5]]))
+        assert generate_paths(ARCH1(b=0.9), 1500, []).shape == (0, 1500)
+
+    def test_a_misread_state_is_refused(self, monkeypatch):
+        # the saved stops are checked against the public state getter
+        monkeypatch.setattr(
+            procgen, "_state_views", lambda bitgen: (np.zeros(4, np.uint64), np.zeros(5, np.uint64))
+        )
+        with pytest.raises(RuntimeError, match="not laid out"):
+            generate_paths(ARCH1(b=0.9), 20, _SEEDS)
+
+
+@pytest.mark.parametrize(
+    "process, n, widest",
+    [
+        (IIDNormal(), 1500, 1500),
+        (AR1(0.7), 1500, 1501),
+        (ARCH1(b=0.9), 500, 1 + ARCH_BURN_IN),  # the burn-in segment is the wider
+        (ARCH1(b=0.9), 1500, 1501),  # the emitted segment is the wider
+    ],
+    ids=["iid", "ar1", "arch1-short", "arch1-long"],
+)
+def test_paths_hold_one_segment_of_draws_at_a_time(process, n, widest):
+    seeds = [derive_rep_seed(11, r) for r in range(256)]
+    generate_paths(process, n, seeds[:2])  # one-time allocations do not count
+    tracemalloc.start()
+    try:
+        generate_paths(process, n, seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * len(seeds) * widest * 8
 
 
 class TestMoments:
