@@ -123,8 +123,8 @@ class AR1:
     def paths(self, n: int, seeds: Sequence[Seed]) -> np.ndarray:
         rho = self.rho
 
-        def step(prev, cur):
-            np.add(rho * prev, cur, cur)
+        def step(prev, cur, tmp):
+            np.add(np.multiply(rho, prev, tmp), cur, cur)
 
         eps = np.empty((len(seeds), n + 1))
         _innovations(seeds, eps)
@@ -165,8 +165,9 @@ class ARCH1:
     def paths(self, n: int, seeds: Sequence[Seed]) -> np.ndarray:
         a, b = self.a, self.b
 
-        def step(prev, cur):
-            np.multiply(np.sqrt(a * a + (b * b) * prev * prev), cur, cur)
+        def step(prev, cur, tmp):
+            u2 = np.multiply(np.multiply(b * b, prev, tmp), prev, tmp)
+            np.multiply(np.sqrt(np.add(a * a, u2, tmp), tmp), cur, cur)
 
         # one buffer holds the burn-in draws, then U_1000 and the n emitted innovations
         x = np.empty((len(seeds), max(1 + ARCH_BURN_IN, n + 1)))
@@ -311,17 +312,20 @@ def _resume_innovations(gen: np.random.Generator, seeds: Sequence[Seed], out: np
 
 
 def _recur_in_place(x: np.ndarray, step, write_back: bool = True) -> np.ndarray:
-    """Overwrite x[:, t] with step(x[:, t-1], x[:, t]) for t = 1, 2, ... in turn; return the last column.
+    """Overwrite x[:, t] with step(x[:, t-1], x[:, t], tmp) for t = 1, 2, ... in turn; return the last column.
 
     Time runs in tiles of _TILE steps. Each tile is copied transposed,
     _BAND rows at a time so the copy stays in cache, into a small buffer
     whose rows are time steps, so every step works on contiguous memory.
     Without write_back, x keeps its inputs and only the returned last
-    column (a view of that buffer) holds a result.
+    column (a view of that buffer) holds a result. A step computes its
+    intermediate results into tmp, one scratch row, or into new arrays
+    when tmp is None.
     """
-    # Each step writes only its result in place: on paths with few rows,
-    # numpy dispatches an allocating ufunc faster than one given out=.
     rows, cols = x.shape
+    # numpy dispatches a ufunc given its output faster than one that
+    # allocates, except for ARCH(1) on a single row
+    tmp = np.empty(rows) if rows > 1 else None
     buf = np.empty((_TILE + 1, rows))
     slots = list(buf)  # one view per time step of the buffer
     buf[0] = x[:, 0]
@@ -330,7 +334,7 @@ def _recur_in_place(x: np.ndarray, step, write_back: bool = True) -> np.ndarray:
         for r in range(0, rows, _BAND):
             buf[1 : width + 1, r : r + _BAND] = x[r : r + _BAND, lo : lo + width].T
         for t in range(1, width + 1):
-            step(slots[t - 1], slots[t])
+            step(slots[t - 1], slots[t], tmp)
         if write_back:
             for r in range(0, rows, _BAND):
                 x[r : r + _BAND, lo : lo + width] = buf[1 : width + 1, r : r + _BAND].T
