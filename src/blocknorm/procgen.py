@@ -273,7 +273,7 @@ def _innovations(seeds: Sequence[Seed], out: np.ndarray, keep_stops: bool = Fals
     if not len(seeds):
         return None, None
     gen = generator(seeds[0])
-    bitgen = gen.bit_generator
+    bitgen, draw = gen.bit_generator, gen.standard_normal  # called positionally: numpy parses out= slower
     state = _fresh_state()
     key = state["state"]["key"]
     stops = None
@@ -283,7 +283,7 @@ def _innovations(seeds: Sequence[Seed], out: np.ndarray, keep_stops: bool = Fals
     for row, seed in enumerate(seeds):
         key[0] = int(seed) & _MASK64
         bitgen.state = state
-        gen.standard_normal(out=out[row])
+        draw(None, np.float64, out[row])
         if keep_stops:
             counters[row] = counter
             tails[row] = tail
@@ -298,7 +298,7 @@ def _innovations(seeds: Sequence[Seed], out: np.ndarray, keep_stops: bool = Fals
 
 def _resume_innovations(gen: np.random.Generator, seeds: Sequence[Seed], out: np.ndarray, stops) -> None:
     """Fill row r of out with the normals that follow, in seeds[r]'s stream, where stops says it stopped."""
-    bitgen = gen.bit_generator
+    bitgen, draw = gen.bit_generator, gen.standard_normal
     state = _fresh_state()
     inner, key = state["state"], state["state"]["key"]
     counters, positions, buffers = _unpack_stops(*stops)
@@ -308,7 +308,7 @@ def _resume_innovations(gen: np.random.Generator, seeds: Sequence[Seed], out: np
         state["buffer_pos"] = positions[row]
         state["buffer"] = buffers[row]
         bitgen.state = state
-        gen.standard_normal(out=out[row])
+        draw(None, np.float64, out[row])
 
 
 def _recur_in_place(x: np.ndarray, step, write_back: bool = True) -> np.ndarray:
