@@ -200,7 +200,8 @@ class TestArchSegments:
     @pytest.mark.parametrize("n", [10, 1500])
     def test_rows_across_copy_bands(self, n):
         seeds = [derive_rep_seed(7, r) for r in range(_BAND + 37)]
-        assert np.array_equal(generate_paths(ARCH1(b=0.9), n, seeds), _reference_paths(ARCH1(b=0.9), n, seeds))
+        batch = generate_paths(ARCH1(b=0.9), n, seeds)
+        assert np.array_equal(batch, _reference_paths(ARCH1(b=0.9), n, seeds))
 
     def test_single_seed_and_no_seeds_past_the_burn_in(self):
         one = generate_paths(ARCH1(b=0.9), 1500, [_SEEDS[5]])
