@@ -240,7 +240,9 @@ def _state_views(bitgen: np.random.Philox) -> tuple[np.ndarray, np.ndarray]:
     (bitgen.ctypes.state_address), while its state getter copies the
     fields into three new arrays and two dicts; once per row, under two
     threads, that getter slowed a 4,096-path ARCH(1) chunk by about 15%,
-    more than the shorter buffer saved. Philox's struct is
+    more than the shorter buffer saved, and redrawing each row's burn-in
+    in the second pass, with no saved state, slowed a 2-worker ARCH(1)
+    call by about 28%. Philox's struct is
     {uint64 (*ctr)[4]; uint64 (*key)[2]; int buffer_pos; uint64 buffer[4];
     ...}: the counter lies behind the first pointer, and the five words from
     byte 16 hold buffer_pos (in their first four bytes) and the buffer. Both
@@ -318,13 +320,10 @@ def _recur_in_place(x: np.ndarray, step, write_back: bool = True) -> np.ndarray:
     whose rows are time steps, so every step works on contiguous memory.
     Without write_back, x keeps its inputs and only the returned last
     column (a view of that buffer) holds a result. A step computes its
-    intermediate results into tmp, one scratch row, or into new arrays
-    when tmp is None.
+    intermediate results into tmp, one scratch row.
     """
     rows, cols = x.shape
-    # numpy dispatches a ufunc given its output faster than one that
-    # allocates, except for ARCH(1) on a single row
-    tmp = np.empty(rows) if rows > 1 else None
+    tmp = np.empty(rows)
     buf = np.empty((_TILE + 1, rows))
     slots = list(buf)  # one view per time step of the buffer
     buf[0] = x[:, 0]
