@@ -52,7 +52,7 @@ from .mc import (
 from .blocks import BigSmall
 from .infer import ci_text_table, mean_test, read_panel_csv, simultaneous_ci
 from .procgen import AR1, ARCH1, RNG_ALGORITHM, IIDNormal
-from .stats import SCHEME_BY_KIND, STAT_KIND_BY_FLAG
+from .stats import KINDS, STAT_KIND_BY_FLAG
 
 
 class _Parser(argparse.ArgumentParser):
@@ -196,7 +196,8 @@ def _build_process(args: argparse.Namespace):
 
 
 def _build_scheme(args: argparse.Namespace, stat_kind: str):
-    if SCHEME_BY_KIND[stat_kind] is BigSmall:
+    scheme_class = KINDS[stat_kind][1]
+    if scheme_class is BigSmall:
         if args.m is not None:
             raise ConfigurationError("--m does not apply to the big-small statistics; use --m1/--m2")
         if args.m1 is None or args.m2 is None:
@@ -206,7 +207,7 @@ def _build_scheme(args: argparse.Namespace, stat_kind: str):
         raise ConfigurationError("--m1/--m2 only apply to the big-small statistics; use --m")
     if args.m is None:
         raise ConfigurationError("this statistic needs a block length --m")
-    return SCHEME_BY_KIND[stat_kind](args.m)
+    return scheme_class(args.m)
 
 
 def _cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:

@@ -48,8 +48,12 @@ class RefDist:
     df: int | None = None
 
     def __post_init__(self) -> None:
-        if self.df is not None:
-            _check_df(self.df)
+        if self.df is None:
+            return
+        if not isinstance(self.df, int) or isinstance(self.df, bool):
+            raise DomainError(f"degrees of freedom must be an integer, got {self.df!r}")
+        if self.df < 1:
+            raise DomainError(f"degrees of freedom must be >= 1, got {self.df}")
 
     @property
     def is_normal(self) -> bool:
@@ -74,20 +78,6 @@ def _require_finite(x: float) -> float:
     return x
 
 
-def normal_cdf(x: float) -> float:
-    """Standard normal distribution function."""
-    return normal_upper(-_require_finite(x))
-
-
-def normal_upper(x: float) -> float:
-    """Upper tail of the standard normal, accurate deep into the tail."""
-    return _upper(NORMAL, [_require_finite(x)])[0]
-
-
-def _normal_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x - _LOG_SQRT_2PI)
-
-
 def _beta_cont_frac(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta integral (modified Lentz)."""
     tiny = 1e-300
@@ -102,27 +92,18 @@ def _beta_cont_frac(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, 801):
         m2 = 2 * m
-        # even step
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        # odd step
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for aa in (even, odd):
+            d = 1.0 + aa * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < 1e-16:
             return h
     raise ArithmeticError(f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x})")
@@ -148,23 +129,16 @@ def _beta_cont_frac_array(a: float, b: float, x: np.ndarray) -> np.ndarray:
         if not lane.size:
             return out
         m2 = 2 * m
-        # even step
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        d = np.where(np.abs(d) < tiny, tiny, d)
-        c = 1.0 + aa / c
-        c = np.where(np.abs(c) < tiny, tiny, c)
-        d = 1.0 / d
-        h = h * (d * c)
-        # odd step
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        d = np.where(np.abs(d) < tiny, tiny, d)
-        c = 1.0 + aa / c
-        c = np.where(np.abs(c) < tiny, tiny, c)
-        d = 1.0 / d
-        delta = d * c
-        h = h * delta
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for aa in (even, odd):
+            d = 1.0 + aa * d
+            d = np.where(np.abs(d) < tiny, tiny, d)
+            c = 1.0 + aa / c
+            c = np.where(np.abs(c) < tiny, tiny, c)
+            d = 1.0 / d
+            delta = d * c
+            h = h * delta
         done = np.abs(delta - 1.0) < 1e-16
         if done.any():
             out[lane[done]] = h[done]
@@ -209,30 +183,6 @@ def _t_upper(xs: list[float], df: int) -> list[float]:
     return [u if x >= 0.0 else 1.0 - u for x, u in zip(xs, upper)]
 
 
-def _check_df(df: int) -> int:
-    if not isinstance(df, int) or isinstance(df, bool):
-        raise DomainError(f"degrees of freedom must be an integer, got {df!r}")
-    if df < 1:
-        raise DomainError(f"degrees of freedom must be >= 1, got {df}")
-    return df
-
-
-def t_cdf(x: float, df: int) -> float:
-    """Student t distribution function with integer degrees of freedom."""
-    return t_upper(-_require_finite(x), df)
-
-
-def t_upper(x: float, df: int) -> float:
-    """Upper tail P(T >= x) of the Student t, accurate deep into the tail."""
-    x = _require_finite(x)
-    return _t_upper([x], _check_df(df))[0]
-
-
-def _t_pdf(x: float, df: int) -> float:
-    ln_c = math.lgamma(0.5 * (df + 1)) - math.lgamma(0.5 * df) - 0.5 * math.log(df * math.pi)
-    return math.exp(ln_c - 0.5 * (df + 1) * math.log1p(x * x / df))
-
-
 def _is_array(x) -> bool:
     return isinstance(x, (np.ndarray, list, tuple))
 
@@ -269,10 +219,32 @@ def ref_upper(dist: RefDist, x):
     return np.array(upper, dtype=float).reshape(x.shape)
 
 
+def normal_cdf(x):
+    """Standard normal distribution function: ref_cdf(NORMAL, x)."""
+    return ref_cdf(NORMAL, x)
+
+
+def normal_upper(x):
+    """Upper tail of the standard normal: ref_upper(NORMAL, x)."""
+    return ref_upper(NORMAL, x)
+
+
+def t_cdf(x, df: int):
+    """Student t distribution function: ref_cdf(student_t(df), x)."""
+    return ref_cdf(student_t(df), x)
+
+
+def t_upper(x, df: int):
+    """Upper tail P(T >= x) of the Student t: ref_upper(student_t(df), x)."""
+    return ref_upper(student_t(df), x)
+
+
 def _ref_pdf(dist: RefDist, x: float) -> float:
     if dist.is_normal:
-        return _normal_pdf(x)
-    return _t_pdf(x, dist.df)
+        return math.exp(-0.5 * x * x - _LOG_SQRT_2PI)
+    df = dist.df
+    ln_c = math.lgamma(0.5 * (df + 1)) - math.lgamma(0.5 * df) - 0.5 * math.log(df * math.pi)
+    return math.exp(ln_c - 0.5 * (df + 1) * math.log1p(x * x / df))
 
 
 _QUANTILE_CACHE_SIZE = 256

@@ -32,7 +32,7 @@ import numpy as np
 from .dist import NORMAL, RefDist, ref_cdf, ref_upper, student_t
 from .errors import ConfigurationError, DataError, DegenerateRateError, DomainError
 from .procgen import RNG_ALGORITHM, ProcessSpec, Seed, derive_rep_seed, generate_paths
-from .stats import STAT_FLAG_BY_KIND, StatKernel, make_kernel
+from .stats import KINDS, StatKernel, make_kernel
 from .blocks import BlockScheme
 
 DEFAULT_X_GRID: tuple[float, ...] = tuple(round(1.6 + 0.1 * i, 10) for i in range(25))
@@ -77,7 +77,7 @@ class SimConfig:
     def as_dict(self) -> dict:
         d = {
             "n": self.n,
-            "stat": STAT_FLAG_BY_KIND.get(self.stat_kind, self.stat_kind),
+            "stat": KINDS[self.stat_kind][0],
             "reps": self.reps,
             "master_seed": self.master_seed,
             "mu0": self.mu0,

@@ -54,16 +54,15 @@ from .blocks import (
 from .dist import NORMAL, RefDist, student_t
 from .errors import ConfigurationError, DegenerateDenominatorError
 
-STAT_FLAG_BY_KIND = {
-    "Wn": "w",
-    "WnStar": "w-star",
-    "In": "i",
-    "InStar": "i-star",
-    "TnStar": "t-star",
-    "TwoSampleW": "two-sample",
+# kind: (CLI flag, block scheme, studentized)
+KINDS = {
+    "Wn": ("w", BigSmall, False),
+    "WnStar": ("w-star", BigSmall, True),
+    "In": ("i", Interlace, False),
+    "InStar": ("i-star", Interlace, True),
+    "TnStar": ("t-star", Batch, True),
 }
-STAT_KIND_BY_FLAG = {flag: kind for kind, flag in STAT_FLAG_BY_KIND.items() if kind != "TwoSampleW"}
-SCHEME_BY_KIND = {"Wn": BigSmall, "WnStar": BigSmall, "In": Interlace, "InStar": Interlace, "TnStar": Batch}
+STAT_KIND_BY_FLAG = {flag: kind for kind, (flag, _, _) in KINDS.items()}
 
 
 @dataclass(frozen=True)
@@ -147,16 +146,16 @@ def make_kernel(kind: str, scheme: BlockScheme, n: int, mu0: float = 0.0) -> Sta
     block sums cannot overflow; their squares cannot either, because each
     row of sums is scaled by a power of two before it is squared.
     """
-    if kind not in SCHEME_BY_KIND:
+    if kind not in KINDS:
         raise ConfigurationError(f"unknown statistic kind {kind!r}")
-    if not isinstance(scheme, SCHEME_BY_KIND[kind]):
-        raise ConfigurationError(f"statistic {kind} requires the {SCHEME_BY_KIND[kind].__name__} scheme")
+    _, scheme_class, studentized = KINDS[kind]
+    if not isinstance(scheme, scheme_class):
+        raise ConfigurationError(f"statistic {kind} requires the {scheme_class.__name__} scheme")
     k = periods(scheme, n)
     windows = scheme.layout()[1]
     tag, _, length = windows[0]
     n_sums = k * sum(w[0] == tag for w in windows)
 
-    studentized = kind in ("WnStar", "InStar", "TnStar")
     if studentized:
         if n_sums < 2:
             raise ConfigurationError(f"statistic {kind} needs at least 2 block sums, got {n_sums}")
