@@ -28,9 +28,15 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError, DataError, as_index
 
 Layout = tuple[int, tuple[tuple[str, int, int], ...]]  # (period, windows)
+
+
+def _store_sizes(scheme, *names: str) -> None:
+    """Store each named block size as a Python int; a bool or a non-integer is a ConfigurationError."""
+    for name in names:
+        object.__setattr__(scheme, name, as_index(getattr(scheme, name), f"block size {name}", ConfigurationError))
 
 
 @dataclass(frozen=True)
@@ -41,6 +47,7 @@ class BigSmall:
     m2: int
 
     def __post_init__(self) -> None:
+        _store_sizes(self, "m1", "m2")
         if self.m2 < 1:
             raise ConfigurationError(f"block sizes must be >= 1, got m2={self.m2}")
         if self.m1 < self.m2:
@@ -60,6 +67,7 @@ class Interlace:
     m: int
 
     def __post_init__(self) -> None:
+        _store_sizes(self, "m")
         if self.m < 1:
             raise ConfigurationError(f"block size must be >= 1, got m={self.m}")
 
@@ -77,6 +85,7 @@ class Batch:
     m: int
 
     def __post_init__(self) -> None:
+        _store_sizes(self, "m")
         if self.m < 1:
             raise ConfigurationError(f"block size must be >= 1, got m={self.m}")
 

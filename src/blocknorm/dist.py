@@ -5,12 +5,22 @@ intervals) compares against these two families, so the tails have to be
 accurate to full double precision: a tail ratio at x = 4 divides by
 probabilities as small as 3e-5 and needs ten good significant digits.
 
+`ref_upper` and `ref_cdf` are the front door: they alone check that x
+is finite, and `RefDist` alone checks df. `normal_upper`, `normal_cdf`,
+`t_upper` and `t_cdf` are the same calls with `NORMAL` or
+`student_t(df)`, so they take arrays too and raise the same errors.
+
 The normal CDF is evaluated through the complementary error function and
 the t CDF through the regularized incomplete beta function, computed by
 a modified Lentz continued fraction. Quantiles invert the CDFs with
 bracketed bisection refined by Newton steps, and each (distribution, p)
 is inverted once: `ref_quantile` memoizes its results (failures are
-never cached). Degrees of freedom are integers only.
+never cached). Bisection also stops where no double lies between its
+ends, as happens beyond |x| of about 1e14. A quantile whose CDF is
+exactly 0 or 1 in double precision (t1 at p = 1e-300 lies near -3e299,
+past the 1.3e154 where x * x overflows) raises `DomainError`. Degrees of
+freedom are integers of any integer type (numpy's too) but not bools,
+and are stored as a Python int.
 
 Array inputs. `ref_upper` and `ref_cdf` also take an ndarray or list and
 return an ndarray of its shape (a non-finite entry raises
@@ -34,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, as_index
 
 _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -50,10 +60,10 @@ class RefDist:
     def __post_init__(self) -> None:
         if self.df is None:
             return
-        if not isinstance(self.df, int) or isinstance(self.df, bool):
-            raise DomainError(f"degrees of freedom must be an integer, got {self.df!r}")
-        if self.df < 1:
-            raise DomainError(f"degrees of freedom must be >= 1, got {self.df}")
+        df = as_index(self.df, "degrees of freedom", DomainError)
+        if df < 1:
+            raise DomainError(f"degrees of freedom must be >= 1, got {df}")
+        object.__setattr__(self, "df", df)  # a Python int, so labels and cache keys do not depend on its type
 
     @property
     def is_normal(self) -> bool:
@@ -253,10 +263,12 @@ _QUANTILE_CACHE_SIZE = 256
 def ref_quantile(dist: RefDist, p: float) -> float:
     """Quantile of a reference distribution.
 
-    Brackets the root, bisects until the interval is small, then runs
-    Newton steps on the CDF; any Newton step that leaves the bracket or
-    misbehaves falls back to a bisection step. Results are memoized per
-    (dist, p); a bad p raises on every call.
+    Brackets the root, bisects until the interval is small or no double
+    lies between its ends, then runs Newton steps on the CDF; any Newton
+    step that leaves the bracket or misbehaves falls back to a bisection
+    step. A result whose CDF is exactly 0 or 1 lies beyond double range
+    and raises DomainError. Results are memoized per (dist, p); a bad p
+    raises on every call.
     """
     p = float(p)
     if not (0.0 < p < 1.0) or not math.isfinite(p):
@@ -277,6 +289,8 @@ def _invert(dist: RefDist, p: float) -> float:
 
     while hi - lo > 1e-2:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # no double lies between the ends (|x| beyond about 1e14)
+            break
         if ref_cdf(dist, mid) < p:
             lo = mid
         else:
@@ -296,7 +310,10 @@ def _invert(dist: RefDist, p: float) -> float:
             step_ok = math.isfinite(x_new) and lo <= x_new <= hi
         if not step_ok:
             x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 1e-12 + 4e-16 * abs(x_new):
-            return x_new
+        converged = abs(x_new - x) <= 1e-12 + 4e-16 * abs(x_new)
         x = x_new
+        if converged:
+            break
+    if ref_cdf(dist, x) in (0.0, 1.0):
+        raise DomainError(f"the {dist.label()} quantile at p = {p!r} lies beyond double range")
     return x

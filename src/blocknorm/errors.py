@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+import operator
+
 
 class BlocknormError(Exception):
     """Base class for all errors raised by this package."""
@@ -32,3 +34,13 @@ class DegenerateRateError(BlocknormError, RuntimeError):
     draw has probability zero, so crossing the tolerated rate signals a
     bug or a pathological configuration rather than bad luck.
     """
+
+
+def as_index(value, what: str, error: type[BlocknormError]) -> int:
+    """value as a Python int (numpy integers too); a bool or a non-integer raises error naming what."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{what} must be an integer, got {value!r}")

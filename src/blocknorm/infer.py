@@ -106,9 +106,8 @@ def simultaneous_ci(panel, alpha: float, m: int | None = None, use_t: bool = Tru
     n, p = z.shape
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
-    if m is None:
-        m = default_block_length(n)
-    k = periods(Interlace(m), n)
+    scheme = Interlace(default_block_length(n) if m is None else m)
+    m, k = scheme.m, periods(scheme, n)
     if k < 2:
         raise ConfigurationError(f"need at least 2 interlaced blocks, got k={k} (n={n}, m={m})")
     if math.log(p) >= n**0.25:
@@ -166,9 +165,11 @@ def read_panel_csv(path: str) -> np.ndarray:
     Parse failures name the offending 1-based row and column.
     """
     rows: list[list[float]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        raw = [row for row in reader if row and any(cell.strip() for cell in row)]
+    try:
+        with open(path, newline="") as fh:
+            raw = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
+    except (UnicodeDecodeError, csv.Error) as exc:  # undecodable bytes, or a cell past the csv field limit
+        raise DataError(f"{path}: not a readable CSV file: {exc}") from None
     if not raw:
         raise DataError(f"{path}: no data rows")
 

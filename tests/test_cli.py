@@ -1,10 +1,15 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blocknorm
 import blocknorm.mc as mc
 from blocknorm.cli import MAX_GRID_POINTS, main, parse_grid
 from blocknorm.errors import ConfigurationError
@@ -341,6 +346,21 @@ class TestCiAndTestCommands:
         assert code == 2
         assert "data error" in err
 
+    def test_ci_quantile_beyond_1e14_completes(self, tmp_path):
+        # k = 2 gives t1, whose 1 - 1e-15/4 quantile is about 1.3e15; a subprocess, so a hang fails the test
+        panel = tmp_path / "panel.csv"
+        panel.write_text("".join(f"{2 * i + 1},{2 * i + 2}\n" for i in range(8)))
+        src = str(Path(blocknorm.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "blocknorm.cli", "ci", str(panel), "--alpha", "1e-15", "--m", "2"],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert done.returncode == 0, done.stderr
+        ci = json.loads(done.stdout)["ci"]
+        assert (ci["k"], ci["quantile_source"]) == (2, "t1")
+        assert all(1e15 < h < 1e16 for h in ci["halfwidths"])
+
     def test_test_accepts_centers(self, capsys, panel_csv, tmp_path):
         code, out, _ = _run(capsys, "ci", str(panel_csv), "--m", "8")
         centers = json.loads(out)["ci"]["centers"]
@@ -469,13 +489,19 @@ class TestConfigResolution:
             (["simulate", "--config", "{tmp}/run.cfg"], 1, "run.cfg:2: expected 'key = value', got 'stat i-star'"),
             (["simulate", "--config", "{tmp}/missing.cfg"], 1, "cannot read config file"),
             (["test", "{tmp}/panel.csv", "--mu0", "{tmp}/mu0.csv"], 2, "expected one row or one column of 2 values"),
+            (["test", "{tmp}/panel.csv", "--mu0", "{tmp}/bytes.csv"], 2, "bytes.csv: not a readable CSV file"),
+            (["ci", "{tmp}/wide.csv"], 2, "wide.csv: not a readable CSV file: field larger than field limit"),
+            (["simulate", "--config", "{tmp}/bytes.cfg"], 1, "cannot read config file"),
         ],
         ids=["no-process", "no-stat", "rho-and-rho-grid", "no-m1-m2", "no-m", "config-line-without-equals",
-             "unreadable-config", "2-d-mu0"],
+             "unreadable-config", "2-d-mu0", "undecodable-mu0", "oversized-cell", "undecodable-config"],
     )
     def test_usage_mistake_ends_in_one_line(self, capsys, panel_csv, tmp_path, argv, code, message):
         (tmp_path / "run.cfg").write_text("process = iid\nstat i-star\n")
         (tmp_path / "mu0.csv").write_text("0,0\n0,0\n")
+        (tmp_path / "bytes.csv").write_bytes(b"\xff\xfe\x00bad\n")
+        (tmp_path / "wide.csv").write_text("1," + "9" * 131_073 + "\n2,3\n")  # the csv module's field limit is 131,072
+        (tmp_path / "bytes.cfg").write_bytes(b"\xff\xfe\x00bad = 1\n")
         kind = {1: "configuration error", 2: "data error"}[code]
         got, out, err = _run(capsys, *(arg.replace("{tmp}", str(tmp_path)) for arg in argv))
         assert (got, out) == (code, "")

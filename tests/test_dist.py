@@ -4,14 +4,20 @@ The frozen 25-row tail table is the primary known-answer oracle; on top
 of that the CDFs are checked against independent routes (closed forms
 for 1 and 2 degrees of freedom, Simpson quadrature of the densities,
 scipy when it is installed) and the quantiles against a plain bisection
-oracle. The array path is checked bit for bit against the scalar one.
+oracle. The array path is checked bit for bit against the scalar one,
+and the four named accessors against ref_upper and ref_cdf.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blocknorm
 from blocknorm import dist
 from blocknorm.dist import (
     NORMAL,
@@ -186,6 +192,14 @@ class TestDomainErrors:
     def test_non_integer_degrees_of_freedom(self):
         with pytest.raises(DomainError, match="degrees of freedom must be an integer, got 2.5"):
             student_t(2.5)
+        with pytest.raises(DomainError, match="degrees of freedom must be an integer, got True"):
+            student_t(True)
+
+    def test_numpy_integer_degrees_of_freedom(self):
+        d = student_t(np.int64(9))
+        assert type(d.df) is int and d == student_t(9) and d.label() == "t9"
+        assert t_upper(2.0, np.int32(9)) == t_upper(2.0, 9)
+        assert ref_quantile(student_t(np.uint8(9)), 0.975) == ref_quantile(student_t(9), 0.975)
 
     def test_bad_probabilities(self):
         for p in (0.0, 1.0, -0.2, 1.7, math.nan):
@@ -275,6 +289,71 @@ class TestArrayPath:
                     fn(d, np.array([0.0, 1.0, bad]))
                 with pytest.raises(DomainError):
                     fn(d, [[bad]])
+
+
+def _accessors(d):
+    """The named accessors of d as functions of x alone: (upper, cdf)."""
+    if d.is_normal:
+        return normal_upper, normal_cdf
+    return (lambda x: t_upper(x, d.df)), (lambda x: t_cdf(x, d.df))
+
+
+def _error_text(fn, *args) -> str:
+    with pytest.raises(DomainError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+class TestFrontDoor:
+    """normal_upper, normal_cdf, t_upper and t_cdf are ref_upper and ref_cdf under other names."""
+
+    @pytest.mark.parametrize("d", ARRAY_DISTS, ids=lambda d: d.label())
+    def test_bit_identical_to_the_front_door(self, d):
+        upper, cdf = _accessors(d)
+        for accessor, front in ((upper, ref_upper), (cdf, ref_cdf)):
+            expected = front(d, ARRAY_X)
+            assert np.array_equal(accessor(ARRAY_X), expected)
+            assert np.array_equal(accessor(ARRAY_X.tolist()), expected)
+            scalars = [accessor(float(x)) for x in ARRAY_X]
+            assert all(type(v) is float for v in scalars)
+            assert np.array_equal(scalars, expected)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_x_raises_the_front_door_text(self, bad):
+        for d in (NORMAL, student_t(9)):
+            upper, cdf = _accessors(d)
+            for accessor, front in ((upper, ref_upper), (cdf, ref_cdf)):
+                for x in (bad, np.array([0.0, bad])):
+                    assert _error_text(accessor, x) == _error_text(front, d, x)
+
+    @pytest.mark.parametrize("df", [0, -3, 2.5, True])
+    def test_bad_df_raises_the_refdist_text(self, df):
+        expected = _error_text(RefDist, df)
+        for accessor in (t_upper, t_cdf):
+            assert _error_text(accessor, 1.0, df) == expected
+            assert _error_text(accessor, math.nan, df) == expected  # df is checked before x
+
+
+class TestQuantileRange:
+    def test_inversion_ends_past_1e14_and_raises_past_double_range(self):
+        # in a subprocess with a timeout: a bisection that cannot end must fail the test, not hang it
+        code = (
+            "import math\n"
+            "from blocknorm.dist import ref_cdf, ref_quantile, student_t\n"
+            "from blocknorm.errors import DomainError\n"
+            "for df, p in ((1, 1e-16), (5, 1e-300), (1, 1.0 - 2.0**-53)):\n"
+            "    x = ref_quantile(student_t(df), p)\n"
+            "    assert math.isclose(ref_cdf(student_t(df), x), p, rel_tol=1e-12), (df, p, x)\n"
+            "try:\n"
+            "    ref_quantile(student_t(1), 1e-300)\n"
+            "except DomainError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(blocknorm.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "the t1 quantile at p = 1e-300 lies beyond double range\n"
 
 
 class TestScipyOracle:

@@ -51,6 +51,12 @@ class TestIntervalConstruction:
         with pytest.raises(ConfigurationError):
             simultaneous_ci(_panel(n=10), alpha=0.05, m=8)
 
+    def test_block_length_must_be_an_integer(self):
+        with pytest.raises(ConfigurationError, match="block size m must be an integer, got 2.5"):
+            simultaneous_ci(_panel(), alpha=0.05, m=2.5)
+        ci = simultaneous_ci(_panel(), alpha=0.05, m=np.int64(8))
+        assert type(ci.m) is int and ci.as_dict() == simultaneous_ci(_panel(), alpha=0.05, m=8).as_dict()
+
     def test_alpha_range(self):
         with pytest.raises(ConfigurationError):
             simultaneous_ci(_panel(), alpha=0.0, m=8)

@@ -154,6 +154,25 @@ class TestDegenerateAndErrors:
         call(np.arange(1.0, 17.0))
         assert len(built) == 1
 
+    def test_numpy_integer_block_sizes_are_plain_ints(self):
+        x = np.random.default_rng(3).standard_normal(1000)
+        assert i_n_star(x, np.int64(50)) == i_n_star(x, 50)
+        assert w_n_star(x, np.int32(30), np.uint8(10)) == w_n_star(x, 30, 10)
+        assert type(Interlace(np.int64(50)).m) is int
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda x: i_n_star(x, 2.5), "block size m must be an integer, got 2.5"),
+            (lambda x: t_n_star(x, True), "block size m must be an integer, got True"),
+            (lambda x: w_n(x, 3, 1.0), "block size m2 must be an integer, got 1.0"),
+        ],
+        ids=["float-m", "bool-m", "float-m2"],
+    )
+    def test_non_integer_block_sizes_name_the_field(self, call, message):
+        with pytest.raises(ConfigurationError, match=message):
+            call(np.arange(1.0, 17.0))
+
     def test_mu0_out_of_range_rejected(self):
         x = np.arange(1.0, 101.0)
         with pytest.raises(ConfigurationError, match="mu0 = 1e\\+307 is out of range for WnStar"):
