@@ -329,7 +329,7 @@ def build_parser() -> _Parser:
     p.add_argument("--x", help="threshold grid start:stop:step (default: the table1 grid)")
     p.add_argument("--format", choices=["csv", "json"], default="csv", help="format (default %(default)s)")
     p.add_argument("--workers", type=int,
-                   help="worker threads, at most one per chunk and per CPU (default $BLOCKNORM_WORKERS or 1)")
+                   help="worker processes, at most one per chunk and per CPU (default $BLOCKNORM_WORKERS or 1)")
     p.set_defaults(handler=_cmd_simulate)
 
     for name, handler, summary in (

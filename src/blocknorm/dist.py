@@ -88,6 +88,15 @@ def _require_finite(x: float) -> float:
     return x
 
 
+def _finite_array(x) -> np.ndarray:
+    """x as a float ndarray; its first non-finite entry raises with the scalar text."""
+    x = np.asarray(x, dtype=float)
+    bad = x[~np.isfinite(x)]
+    if bad.size:
+        _require_finite(bad[0])
+    return x
+
+
 def _beta_cont_frac(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta integral (modified Lentz)."""
     tiny = 1e-300
@@ -209,7 +218,7 @@ def ref_cdf(dist: RefDist, x):
     A scalar x gives a float; an array (or list) gives an ndarray of its shape.
     """
     if _is_array(x):
-        return ref_upper(dist, -np.asarray(x, dtype=float))
+        return ref_upper(dist, -_finite_array(x))  # checked before negating, so the error shows x's own sign
     return ref_upper(dist, -_require_finite(x))
 
 
@@ -221,10 +230,7 @@ def ref_upper(dist: RefDist, x):
     """
     if not _is_array(x):
         return _upper(dist, [_require_finite(x)])[0]
-    x = np.asarray(x, dtype=float)
-    bad = x[~np.isfinite(x)]
-    if bad.size:
-        raise DomainError(f"argument must be finite, got {bad[0]!r}")
+    x = _finite_array(x)
     upper = _upper(dist, x.ravel().tolist())
     return np.array(upper, dtype=float).reshape(x.shape)
 

@@ -6,6 +6,16 @@ count change the schedule, never the numbers. Chunks have a fixed size
 and exceedance counts are merged by integer addition, which is exact
 and order-free.
 
+A run with one worker computes its chunks in the caller. A run with p
+workers, p = min(workers, chunks, os.cpu_count()) >= 2, sends its chunks
+to a pool of p worker processes (forked where the platform offers fork).
+The pool lives for the Python process: later runs with the same p reuse
+it, a run with another p replaces it, and it is shut down at exit.
+Workers ignore SIGINT, so Ctrl-C interrupts only the caller, and exit
+within a second of their caller if it is killed. A worker
+that dies (for example at the hands of the out-of-memory killer) ends
+the run with a ConfigurationError; the next run starts a new pool.
+
 Degenerate draws (statistic denominator exactly zero) are counted and
 excluded from both the numerator and denominator of the tail estimate
 and from the count behind its standard error; they have probability
@@ -23,7 +33,9 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import signal
+import threading
+import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -146,20 +158,108 @@ def _run_chunk(
     return counts.astype(np.int64), int(degenerate.sum()), (good if collect else None)
 
 
+def _chunk_task(
+    config: SimConfig, bounds: tuple[int, int], collect: bool
+) -> tuple[np.ndarray, int, np.ndarray | None]:
+    """One chunk in a pool worker; module level, so that it pickles by name."""
+    return _run_chunk(config, config.kernel, np.asarray(config.x_grid, dtype=float), bounds, collect)
+
+
+def _init_worker(caller: int) -> None:
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C interrupts only the caller
+    threading.Thread(target=_exit_with_caller, args=(caller,), daemon=True).start()
+
+
+def _exit_with_caller(caller: int) -> None:
+    # a caller killed before it could shut its pool down (SIGTERM, SIGKILL)
+    # would leave its workers waiting for chunks forever
+    while os.getppid() == caller:
+        time.sleep(1.0)
+    os._exit(1)
+
+
+_pool_lock = threading.RLock()
+_pool = None  # (size, executor) of this process's worker pool, or None
+_exit_hooked = False
+
+
+def _forget_pool() -> None:
+    # a forked child shares neither the parent's pool nor a lock another thread held
+    global _pool, _pool_lock, _exit_hooked
+    _pool, _pool_lock, _exit_hooked = None, threading.RLock(), False
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _close_pool() -> None:
+    """Shut the worker pool down and wait for its workers, if there is a pool."""
+    global _pool
+    with _pool_lock:
+        if _pool is not None:
+            _pool[1].shutdown()
+            _pool = None
+
+
+def _worker_pool(size: int):
+    """The pool of `size` worker processes, made on first use; call with _pool_lock held."""
+    global _pool, _exit_hooked
+    if _pool is not None and _pool[0] == size:
+        return _pool[1]
+    _close_pool()
+    # imported here: a run that never starts a pool does not pay for these modules
+    import multiprocessing
+    import multiprocessing.util
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    if not _exit_hooked:
+        # interpreter shutdown closes the pool, but a multiprocessing child joins
+        # its children before that, and would wait on the workers forever; priority
+        # 100 closes the pool before its queues' own exit hooks (priority 10) close them
+        multiprocessing.util.Finalize(None, _close_pool, exitpriority=100)
+        _exit_hooked = True
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    executor = ProcessPoolExecutor(
+        size, mp_context=multiprocessing.get_context(method),
+        initializer=_init_worker, initargs=(os.getpid(),),
+    )
+    _pool = (size, executor)
+    return executor
+
+
+def _pool_results(config: SimConfig, bounds: list[tuple[int, int]], size: int, collect: bool) -> list:
+    """The chunks' results in chunk order, computed by the pool of `size` workers."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    futures = []
+    try:
+        with _pool_lock:  # no other thread may replace the pool between making and using it
+            pool = _worker_pool(size)
+            futures = [pool.submit(_chunk_task, config, b, collect) for b in bounds]
+        return [f.result() for f in futures]
+    except BrokenProcessPool:
+        _close_pool()
+        raise ConfigurationError(
+            f"a worker process died (workers = {size}); if it ran out of memory, "
+            f"use fewer workers: each holds one chunk of {_CHUNK_REPS} paths"
+        ) from None
+    finally:
+        for f in futures:  # after an error or an interrupt, queued chunks are dropped
+            f.cancel()
+
+
 def _run(config: SimConfig, workers: int, collect: bool):
     if workers < 1:
         raise ConfigurationError(f"need workers >= 1, got {workers}")
-    grid = np.asarray(config.x_grid, dtype=float)
     bounds = _chunk_bounds(config.reps)
-    threads = min(workers, len(bounds), os.cpu_count() or 1)  # one per chunk and per CPU at most
+    size = min(workers, len(bounds), os.cpu_count() or 1)  # one per chunk and per CPU at most
 
-    if threads == 1:
+    if size == 1:
+        grid = np.asarray(config.x_grid, dtype=float)
         results = [_run_chunk(config, config.kernel, grid, b, collect) for b in bounds]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda b: _run_chunk(config, config.kernel, grid, b, collect), bounds)
-            )
+        results = _pool_results(config, bounds, size, collect)
 
     counts = np.sum([r[0] for r in results], axis=0)
     degenerate = sum(r[1] for r in results)

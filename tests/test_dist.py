@@ -326,6 +326,15 @@ class TestFrontDoor:
                 for x in (bad, np.array([0.0, bad])):
                     assert _error_text(accessor, x) == _error_text(front, d, x)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_entry_reads_like_the_scalar(self, bad):
+        # ref_cdf negates its argument, so an array entry must be checked before that
+        expected = f"argument must be finite, got {bad!r}"
+        for d in (NORMAL, student_t(9)):
+            for front in (ref_upper, ref_cdf):
+                for x in (bad, [0.0, bad], np.array([0.0, bad]), np.array([[bad]])):
+                    assert _error_text(front, d, x) == expected
+
     @pytest.mark.parametrize("df", [0, -3, 2.5, True])
     def test_bad_df_raises_the_refdist_text(self, df):
         expected = _error_text(RefDist, df)

@@ -1,12 +1,20 @@
 """Monte Carlo engine: determinism, worker invariance, tables, KS."""
 
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import blocknorm.mc as mc
 from blocknorm.blocks import Batch, BigSmall, Interlace
+from blocknorm.cli import main as cli_main
 from blocknorm.dist import NORMAL, normal_upper, ref_cdf, ref_quantile, student_t, t_upper
 from blocknorm.errors import ConfigurationError, DataError, DegenerateRateError, DomainError
 from blocknorm.mc import (
@@ -384,22 +392,16 @@ class TestRatioGridValidation:
         assert drawn == []
 
 
-class _RecordingPool:
-    """Stands in for ThreadPoolExecutor: records max_workers, maps serially."""
+@pytest.fixture
+def fresh_pool():
+    """No worker pool before or after the test, so that a pool it makes is forked from its own state."""
+    mc._close_pool()
+    yield
+    mc._close_pool()
 
-    sizes: list = []
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
+def _live_children() -> set[int]:
+    return {p.pid for p in multiprocessing.active_children()}
 
 
 class TestWorkerThreadBound:
@@ -407,17 +409,133 @@ class TestWorkerThreadBound:
     CFG = dict(n=40, scheme=Interlace(10), reps=2 * mc._CHUNK_REPS + 1, x_grid=(1.0, 2.0))
 
     @pytest.mark.parametrize("workers, cpus, expected", [
-        (10**6, 8, [3]),  # one thread per chunk
-        (10**6, 2, [2]),  # one thread per CPU
+        (10**6, 8, [3]),  # one worker process per chunk
+        (10**6, 2, [2]),  # one worker process per CPU
         (2, 8, [2]),
-        (10**6, 1, []),  # a single thread runs the chunks in the caller
+        (10**6, 1, []),  # a single worker runs the chunks in the caller, with no pool
         (10**6, None, []),  # unknown CPU count counts as one
     ])
-    def test_threads_are_clamped(self, monkeypatch, workers, cpus, expected):
+    def test_threads_are_clamped(self, monkeypatch, fresh_pool, workers, cpus, expected):
         sizes = []
-        monkeypatch.setattr(_RecordingPool, "sizes", sizes)
-        monkeypatch.setattr(mc, "ThreadPoolExecutor", _RecordingPool)
+        real_pool = mc._worker_pool
+
+        def recording_pool(size):
+            sizes.append(size)
+            return real_pool(size)
+
+        monkeypatch.setattr(mc, "_worker_pool", recording_pool)
         monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
         table = estimate_tail(_config(**self.CFG), workers=workers)
         assert sizes == expected
+        assert len(_live_children()) == (expected[0] if expected else 0)
         assert np.array_equal(table.mc_tail, estimate_tail(_config(**self.CFG), workers=1).mc_tail)
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+)
+
+
+class TestWorkerPool:
+    CFG = TestWorkerThreadBound.CFG
+
+    def test_same_size_reuses_the_pool_and_another_size_replaces_it(self, monkeypatch, fresh_pool):
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
+        cfg = _config(**self.CFG)
+        first = estimate_tail(cfg, workers=2)
+        pool, pids = mc._pool, _live_children()
+        assert pool[0] == 2 and len(pids) == 2
+        again = simulate_stats(cfg, workers=2)
+        assert mc._pool is pool and _live_children() == pids
+        third = estimate_tail(cfg, workers=3)
+        assert mc._pool[0] == 3 and mc._pool is not pool
+        assert len(_live_children()) == 3 and not _live_children() & pids  # the old workers have exited
+        assert np.array_equal(first.mc_tail, third.mc_tail)
+        assert np.array_equal(again, simulate_stats(cfg, workers=1))
+
+    @needs_fork
+    def test_a_dead_worker_is_a_configuration_error_and_the_next_run_succeeds(self, monkeypatch, capsys, fresh_pool):
+        argv = ["simulate", "--process", "iid", "--n", "40", "--stat", "i-star", "--m", "10",
+                "--reps", str(2 * mc._CHUNK_REPS), "--format", "json", "--workers", "2"]
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+        real_chunk = mc._run_chunk
+
+        def dying_chunk(config, kernel, grid, bounds, collect):
+            if bounds[0] > 0:  # the second chunk's worker is killed mid-run
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_chunk(config, kernel, grid, bounds, collect)
+
+        with monkeypatch.context() as patch:
+            # the pool is forked after this, so its workers run the patched chunk
+            patch.setattr(mc, "_run_chunk", dying_chunk)
+            assert cli_main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("blocknorm: configuration error: ")
+        assert "worker process died" in err and "workers = 2" in err
+        assert mc._pool is None and _live_children() == set()
+        assert cli_main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["rows"]["x"] == list(DEFAULT_X_GRID)
+
+    @pytest.mark.parametrize("end, exit_code", [
+        ("", 0),
+        # killed, the caller cannot shut its pool down: the workers notice and exit
+        ("os.kill(os.getpid(), signal.SIGKILL)\n", -signal.SIGKILL),
+    ], ids=["exits", "is-killed"])
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
+    def test_workers_are_gone_once_the_caller_is(self, end, exit_code):
+        code = (
+            "import os, signal, sys\n"
+            "os.cpu_count = lambda: 2\n"
+            "from blocknorm import IIDNormal, Interlace, SimConfig, cli, estimate_tail\n"
+            # a run that never starts a pool does not import the modules a pool needs
+            "assert 'multiprocessing' not in sys.modules and 'concurrent.futures' not in sys.modules\n"
+            f"estimate_tail(SimConfig(IIDNormal(), 40, Interlace(10), 'InStar', {2 * mc._CHUNK_REPS}, 0), workers=2)\n"
+            "import multiprocessing\n"
+            "print(*(p.pid for p in multiprocessing.active_children()), flush=True)\n"
+            + end
+        )
+        src = str(Path(mc.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == exit_code, done.stderr
+        pids = [int(pid) for pid in done.stdout.split()]
+        assert len(pids) == 2
+        deadline = time.monotonic() + 10.0
+        alive = pids
+        while alive and time.monotonic() < deadline:
+            alive = [pid for pid in alive if _running(pid)]
+            time.sleep(0.05)
+        assert alive == []
+
+    @needs_fork
+    def test_a_forked_process_makes_its_own_pool(self, monkeypatch, fresh_pool):
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+        cfg = _config(**self.CFG)
+        expected = simulate_stats(cfg, workers=2)  # this process now has a pool
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        child = ctx.Process(target=_put_values, args=(queue, cfg))
+        child.start()
+        try:
+            values = queue.get(timeout=60)
+            child.join(timeout=30)  # the child closes its own pool as it exits
+            assert not child.is_alive() and child.exitcode == 0
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert np.array_equal(values, expected)
+
+
+def _put_values(queue, cfg):
+    queue.put(simulate_stats(cfg, workers=2))
+
+
+def _running(pid: int) -> bool:
+    """Whether pid names a process that has not exited; a zombie waiting to be reaped has."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
