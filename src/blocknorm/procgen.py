@@ -60,6 +60,9 @@ from __future__ import annotations
 
 import ctypes
 import math
+import mmap
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import ClassVar, Sequence, Union
 
@@ -74,6 +77,11 @@ _MASK64 = (1 << 64) - 1
 RNG_ALGORITHM = "philox4x64(key=splitmix64-stream(master)[rep])+numpy-ziggurat-normal"
 
 ARCH_BURN_IN = 1000
+
+# draw buffers from 1 MiB up to glibc's largest mmap threshold (32 MiB)
+# reuse one memory map per thread: (map, weak reference to the last array made from it)
+_MAPPED_BYTES = (1 << 20, 32 << 20)
+_maps = threading.local()
 
 
 def splitmix64(z: int) -> int:
@@ -96,12 +104,41 @@ def generator(seed: Seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
 
 
+def _draw_buffer(rows: int, cols: int) -> np.ndarray:
+    """An uninitialized (rows, cols) float64 array for a chunk's draws.
+
+    malloc serves a buffer of 1 to 32 MiB from its heap once glibc has
+    raised its mmap threshold to the size of the first such block freed,
+    and a small allocation that lands in a freed buffer makes the next one
+    extend the heap by a whole buffer, at a call that depends on what else
+    the process allocated: its peak memory would differ from run to run by
+    a chunk's draws. So a buffer in that range is a view of this thread's
+    own memory map, which is reused, with its pages already touched, once
+    no array made from it is alive, and replaced otherwise.
+    """
+    nbytes = rows * cols * 8
+    lo, hi = _MAPPED_BYTES
+    if not lo <= nbytes <= hi:
+        return np.empty((rows, cols))
+    last = getattr(_maps, "last", None)
+    # every view of a buffer holds the flat array it was shaped from
+    if last is not None and last[1]() is None and len(last[0]) >= nbytes:
+        pages = last[0]
+    elif hasattr(mmap, "MAP_PRIVATE"):  # a forked child copies the pages it writes
+        pages = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+    else:  # Windows: anonymous memory is private, and there is no fork
+        pages = mmap.mmap(-1, nbytes)
+    flat = np.frombuffer(pages, np.float64, rows * cols)
+    _maps.last = (pages, weakref.ref(flat))
+    return flat.reshape(rows, cols)
+
+
 @dataclass(frozen=True)
 class IIDNormal:
     """Independent standard normal observations."""
 
     def paths(self, n: int, seeds: Sequence[Seed]) -> np.ndarray:
-        out = np.empty((len(seeds), n))
+        out = _draw_buffer(len(seeds), n)
         _innovations(seeds, out)
         return out
 
@@ -126,7 +163,7 @@ class AR1:
         def step(prev, cur, tmp):
             np.add(np.multiply(rho, prev, tmp), cur, cur)
 
-        eps = np.empty((len(seeds), n + 1))
+        eps = _draw_buffer(len(seeds), n + 1)
         _innovations(seeds, eps)
         eps[:, 0] /= math.sqrt(1.0 - rho * rho)
         _recur_in_place(eps, step)
@@ -170,7 +207,7 @@ class ARCH1:
             np.multiply(np.sqrt(np.add(a * a, u2, tmp), tmp), cur, cur)
 
         # one buffer holds the burn-in draws, then U_1000 and the n emitted innovations
-        x = np.empty((len(seeds), max(1 + ARCH_BURN_IN, n + 1)))
+        x = _draw_buffer(len(seeds), max(1 + ARCH_BURN_IN, n + 1))
         if not len(seeds):
             return x[:, 1 : n + 1]
         burn = x[:, : 1 + ARCH_BURN_IN]

@@ -1,6 +1,8 @@
 """Process generators: determinism, moments, seed derivation."""
 
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -231,13 +233,81 @@ def test_paths_hold_one_segment_of_draws_at_a_time(process, n, widest):
     generate_paths(process, n, seeds[:2])  # one-time allocations do not count
     tracemalloc.start()
     try:
-        generate_paths(process, n, seeds)
+        paths = generate_paths(process, n, seeds)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    # tracemalloc does not see a draw buffer in a memory map, so its width is checked here
+    drawn = paths if paths.base is None else paths.base
+    assert drawn.nbytes == len(seeds) * widest * 8
     # the recursions' tile buffer and scratch row hold (_TILE + 2) floats per path whatever n is
     scratch = (procgen._TILE + 2) * len(seeds) * 8
     assert peak <= 1.1 * (len(seeds) * widest * 8 + scratch)
+
+
+class TestDrawBuffers:
+    """Draw buffers of 1 to 32 MiB reuse one memory map per thread once no array uses it."""
+
+    ROWS, COLS = 300, 1001  # 2.4 MB
+
+    def test_a_dropped_buffer_is_reused(self):
+        def addresses():  # in a new thread, which starts with no map
+            first = procgen._draw_buffer(self.ROWS, self.COLS)
+            out = [first.ctypes.data]
+            del first
+            second = procgen._draw_buffer(self.ROWS, self.COLS - 1)
+            assert second.shape == (self.ROWS, self.COLS - 1) and second.flags.writeable
+            out.append(second.ctypes.data)
+            del second
+            out.append(procgen._draw_buffer(self.ROWS, self.COLS + 1).ctypes.data)  # too large for the map
+            return out
+
+        seen = []
+        thread = threading.Thread(target=lambda: seen.append(addresses()))
+        thread.start()
+        thread.join()
+        first, second, larger = seen[0]
+        assert second == first and larger != first
+
+    def test_paths_still_in_use_are_not_overwritten(self):
+        seeds = [derive_rep_seed(3, r) for r in range(self.ROWS)]
+        kept = generate_paths(AR1(0.5), self.COLS - 1, seeds)
+        view = generate_paths(ARCH1(b=0.9), self.COLS - 1, seeds)[:5, :7]  # a view holds its buffer too
+        before = kept.copy(), view.copy()
+        later = generate_paths(IIDNormal(), self.COLS - 1, seeds)
+        assert not np.shares_memory(later, kept) and not np.shares_memory(later, view)
+        assert np.array_equal(kept, before[0]) and np.array_equal(view, before[1])
+
+    def test_each_thread_has_its_own_map(self):
+        mine = procgen._draw_buffer(self.ROWS, self.COLS)
+        address = mine.ctypes.data
+        del mine
+        seen = []
+        thread = threading.Thread(target=lambda: seen.append(procgen._draw_buffer(self.ROWS, self.COLS).ctypes.data))
+        thread.start()
+        thread.join()
+        assert seen and seen[0] != address
+        assert procgen._draw_buffer(self.ROWS, self.COLS).ctypes.data == address
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_forked_child_writes_its_own_copy(self):
+        mine = procgen._draw_buffer(self.ROWS, self.COLS)
+        mine[:] = 1.0
+        address = mine.ctypes.data
+        del mine
+        pid = os.fork()
+        if pid == 0:  # the child reuses the map it inherited
+            try:
+                procgen._draw_buffer(self.ROWS, self.COLS)[:] = 2.0
+            finally:
+                os._exit(0)
+        assert os.waitpid(pid, 0)[1] == 0
+        again = procgen._draw_buffer(self.ROWS, self.COLS)
+        assert again.ctypes.data == address and (again == 1.0).all()
+
+    @pytest.mark.parametrize("rows, cols", [(2, 10), (1, (32 << 20) // 8 + 1)], ids=["small", "over-32MiB"])
+    def test_other_sizes_are_ordinary_arrays(self, rows, cols):
+        assert procgen._draw_buffer(rows, cols).flags.owndata
 
 
 class TestMoments:
