@@ -42,8 +42,8 @@ from typing import Sequence
 import numpy as np
 
 from .dist import NORMAL, RefDist, ref_cdf, ref_upper, student_t
-from .errors import ConfigurationError, DataError, DegenerateRateError, DomainError
-from .procgen import RNG_ALGORITHM, ProcessSpec, Seed, derive_rep_seed, generate_paths
+from .errors import ConfigurationError, DataError, DegenerateRateError, DomainError, as_index
+from .procgen import RNG_ALGORITHM, ProcessSpec, Seed, as_seed, derive_rep_seed, generate_paths
 from .stats import KINDS, StatKernel, make_kernel
 from .blocks import BlockScheme
 
@@ -72,10 +72,11 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x_grid", tuple(float(x) for x in self.x_grid))
+        object.__setattr__(self, "n", as_index(self.n, "path length n", ConfigurationError))
+        object.__setattr__(self, "reps", as_index(self.reps, "reps", ConfigurationError))
+        object.__setattr__(self, "master_seed", as_seed(self.master_seed, "master seed"))
         if self.reps < 1:
             raise ConfigurationError(f"need reps >= 1, got {self.reps}")
-        if not 0 <= self.master_seed < 2**64:
-            raise ConfigurationError(f"master seed must be a 64-bit unsigned integer, got {self.master_seed}")
         if not math.isfinite(self.mu0):
             raise ConfigurationError(f"mu0 must be finite, got {self.mu0}")
         if len(self.x_grid) < 1:

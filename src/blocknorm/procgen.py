@@ -32,8 +32,8 @@ Draw protocol per path (fixed; changing it would change all outputs):
 * high-dimensional linear: an (n+lag_cap) x p block of draws, filled
   row-major, combined with geometric lag weights.
 
-Batching. generate_paths draws a chunk of paths through one Generator:
-before each row it re-keys the Philox to the exact state of a fresh
+Batching. generate_paths draws a chunk of paths through one Generator
+(ARCH(1): one per band of rows, below): before each row it re-keys the Philox to the exact state of a fresh
 Philox(key=seed) (key [seed, 0], counter 0, empty output buffer). A
 counter-based generator's stream is a pure function of its key and
 counter, so each row equals what a generator built for its seed alone
@@ -43,22 +43,19 @@ same order as the step-by-step loops; the returned rows are therefore
 bit-identical to single-path generation, but they may be views into a
 wider array of draws rather than a contiguous array of their own.
 
-ARCH(1) draws each path in two segments into one buffer of
-max(1 + 1000, n + 1) columns, so a chunk never holds all n + 1001 draws
-of its paths. The first pass draws every row's initialization and
-burn-in and saves where the row's stream stopped: the Philox counter,
-its buffered output words and the position in them. The burn-in
-recursion then reduces those columns to U_1000 without writing them
-back, and the second pass restores each row's saved state and draws the
-n emitted innovations over them, with U_1000 in column 0. Restoring the
-counter, buffer and position resumes the stream exactly where it
-stopped, so every row draws the same n + 1001 normals in the same order
-as in one pass, and the protocol above is unchanged.
+ARCH(1) draws a chunk's paths in bands of _ARCH_BAND rows, so it never
+holds all n + 1001 draws of its paths. For each row of a band it draws
+the initialization and burn-in into a row of one (band, 1001) scratch,
+then, from the same re-keyed generator, the n emitted innovations into
+columns 1..n of the paths buffer. The second call continues the row's
+stream where the first stopped, so every row draws the same n + 1001
+normals in the same order as in one call, and the protocol above is
+unchanged. The burn-in recursion then reduces each band's scratch to
+U_1000 in column 0, and the emitted recursion runs once over the chunk.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
 import mmap
 import threading
@@ -68,7 +65,7 @@ from typing import ClassVar, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, as_index
 
 Seed = int
 
@@ -77,6 +74,7 @@ _MASK64 = (1 << 64) - 1
 RNG_ALGORITHM = "philox4x64(key=splitmix64-stream(master)[rep])+numpy-ziggurat-normal"
 
 ARCH_BURN_IN = 1000
+_ARCH_BAND = 512  # rows per band of the ARCH(1) burn-in scratch
 
 # draw buffers from 1 MiB up to glibc's largest mmap threshold (32 MiB)
 # reuse one memory map per thread: (map, weak reference to the last array made from it)
@@ -92,16 +90,26 @@ def splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def as_seed(value, what: str = "seed") -> Seed:
+    """value as a Python int in [0, 2^64); anything else raises a ConfigurationError naming what."""
+    seed = as_index(value, what, ConfigurationError)
+    if not 0 <= seed <= _MASK64:
+        raise ConfigurationError(f"{what} must be a 64-bit unsigned integer, got {seed}")
+    return seed
+
+
 def derive_rep_seed(master: Seed, rep_index: int) -> Seed:
     """Per-replication seed: output rep_index of the SplitMix64 stream at master."""
+    master = as_seed(master, "master seed")
+    rep_index = as_index(rep_index, "replication index", ConfigurationError)
     if rep_index < 0:
         raise ConfigurationError(f"replication index must be >= 0, got {rep_index}")
-    return splitmix64((int(master) + int(rep_index) * 0x9E3779B97F4A7C15) & _MASK64)
+    return splitmix64((master + rep_index * 0x9E3779B97F4A7C15) & _MASK64)
 
 
 def generator(seed: Seed) -> np.random.Generator:
     """The package-wide bit generator for a given 64-bit seed."""
-    return np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
+    return np.random.Generator(np.random.Philox(key=as_seed(seed)))
 
 
 def _draw_buffer(rows: int, cols: int) -> np.ndarray:
@@ -206,17 +214,17 @@ class ARCH1:
             u2 = np.multiply(np.multiply(b * b, prev, tmp), prev, tmp)
             np.multiply(np.sqrt(np.add(a * a, u2, tmp), tmp), cur, cur)
 
-        # one buffer holds the burn-in draws, then U_1000 and the n emitted innovations
-        x = _draw_buffer(len(seeds), max(1 + ARCH_BURN_IN, n + 1))
-        if not len(seeds):
-            return x[:, 1 : n + 1]
-        burn = x[:, : 1 + ARCH_BURN_IN]
-        gen, stops = _innovations(seeds, burn, keep_stops=True)
-        burn[:, 0] *= a / math.sqrt(1.0 - b * b)
-        x[:, 0] = _recur_in_place(burn, step, write_back=False)
-        _resume_innovations(gen, seeds, x[:, 1 : n + 1], stops)
-        _recur_in_place(x[:, : n + 1], step)
-        return x[:, 1 : n + 1]
+        x = _draw_buffer(len(seeds), n + 1)
+        burn = np.empty((min(_ARCH_BAND, len(seeds)), 1 + ARCH_BURN_IN))
+        for lo in range(0, len(seeds), _ARCH_BAND):
+            band = seeds[lo : lo + _ARCH_BAND]
+            burn = burn[: len(band)]  # the last band may be short
+            _innovations(band, burn, x[lo : lo + _ARCH_BAND, 1:])
+            burn[:, 0] *= a / math.sqrt(1.0 - b * b)
+            x[lo : lo + _ARCH_BAND, 0] = _recur_in_place(burn, step, write_back=False)
+        del burn  # the scratch is freed before the emitted recursion
+        _recur_in_place(x, step)
+        return x[:, 1:]
 
     def as_dict(self) -> dict:
         return {"process": "arch1", "a": self.a, "b": self.b}
@@ -237,6 +245,8 @@ class HDLinear:
     lag_cap: int = 200
 
     def __post_init__(self) -> None:
+        for name in ("p", "lag_cap"):
+            object.__setattr__(self, name, as_index(getattr(self, name), name, ConfigurationError))
         if self.p < 1:
             raise ConfigurationError(f"dimension p must be >= 1, got {self.p}")
         if not 0.0 <= self.decay < 1.0:
@@ -255,98 +265,29 @@ _TILE = 64  # time steps per tile of the recursions
 _BAND = 256  # rows per piece of a tile's transposed copy
 
 
-def _fresh_state() -> dict:
-    """A Philox state dict; with key[0] set to a seed it is the state of a fresh Philox(key=seed)."""
-    return {
+def _innovations(seeds: Sequence[Seed], *outs: np.ndarray) -> None:
+    """Fill row r of each out in turn with the standard normals of seeds[r]'s stream.
+
+    One Generator serves every row: before each row its Philox is re-keyed
+    to a fresh Philox(key=seed). Row r of each out continues the stream
+    where row r of the out before it stopped.
+    """
+    gen = generator(0)
+    bitgen, draw = gen.bit_generator, gen.standard_normal  # called positionally: numpy parses out= slower
+    key = [0, 0]  # with key[0] set to a seed, state is that of a fresh Philox(key=seed)
+    state = {
         "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+        "state": {"counter": [0, 0, 0, 0], "key": key},
         "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
-
-
-_LAYOUT_ERROR = "numpy's Philox state is not laid out as procgen reads it"
-
-
-def _state_views(bitgen: np.random.Philox) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only views, in place, of a Philox's counter and of the five words that hold its buffer.
-
-    numpy gives the address of a bit generator's C state struct
-    (bitgen.ctypes.state_address), while its state getter copies the
-    fields into three new arrays and two dicts; once per row, under two
-    threads, that getter slowed a 4,096-path ARCH(1) chunk by about 15%,
-    more than the shorter buffer saved, and redrawing each row's burn-in
-    in the second pass, with no saved state, slowed a 2-worker ARCH(1)
-    call by about 28%. Philox's struct is
-    {uint64 (*ctr)[4]; uint64 (*key)[2]; int buffer_pos; uint64 buffer[4];
-    ...}: the counter lies behind the first pointer, and the five words from
-    byte 16 hold buffer_pos (in their first four bytes) and the buffer. Both
-    must lie inside the Philox object (CPython's id is its address), and
-    _innovations checks what the views read against the getter.
-    """
-    lo, hi = id(bitgen), id(bitgen) + type(bitgen).__basicsize__
-    addr = bitgen.ctypes.state_address
-    if lo <= addr <= hi - 56:
-        ctr = ctypes.c_void_p.from_address(addr).value
-        if ctr is not None and lo <= ctr <= hi - 32:
-            words = ((ctypes.c_uint64 * 4).from_address(ctr), (ctypes.c_uint64 * 5).from_address(addr + 16))
-            return tuple(np.ctypeslib.as_array(w) for w in words)
-    raise RuntimeError(_LAYOUT_ERROR)
-
-
-def _unpack_stops(counters: np.ndarray, tails: np.ndarray) -> tuple[list, list, list]:
-    """Counter, buffer_pos and buffer per row, as lists, from words read through _state_views."""
-    return counters.tolist(), tails[:, :1].view(np.int32)[:, 0].tolist(), tails[:, 1:].tolist()
-
-
-def _innovations(seeds: Sequence[Seed], out: np.ndarray, keep_stops: bool = False):
-    """Fill row r of out with the first standard normals of seeds[r]'s stream.
-
-    One Generator serves every row: before each row its Philox is re-keyed
-    to a fresh Philox(key=seed). Returns the Generator and, with keep_stops,
-    where each row's stream stopped: (counters, tails), uint64 arrays with a
-    row per seed of the words _state_views reads.
-    """
-    if not len(seeds):
-        return None, None
-    gen = generator(seeds[0])
-    bitgen, draw = gen.bit_generator, gen.standard_normal  # called positionally: numpy parses out= slower
-    state = _fresh_state()
-    key = state["state"]["key"]
-    stops = None
-    if keep_stops:
-        counter, tail = _state_views(bitgen)
-        stops = counters, tails = np.empty((len(seeds), 4), np.uint64), np.empty((len(seeds), 5), np.uint64)
     for row, seed in enumerate(seeds):
-        key[0] = int(seed) & _MASK64
+        key[0] = as_seed(seed)
         bitgen.state = state
-        draw(None, np.float64, out[row])
-        if keep_stops:
-            counters[row] = counter
-            tails[row] = tail
-    if keep_stops:  # the views must read what the public getter reports
-        last = bitgen.state
-        seen = _unpack_stops(counters[-1:], tails[-1:])
-        if seen != ([last["state"]["counter"].tolist()], [last["buffer_pos"]], [last["buffer"].tolist()]):
-            raise RuntimeError(_LAYOUT_ERROR)
-    return gen, stops
-
-
-def _resume_innovations(gen: np.random.Generator, seeds: Sequence[Seed], out: np.ndarray, stops) -> None:
-    """Fill row r of out with the normals that follow, in seeds[r]'s stream, where stops says it stopped."""
-    bitgen, draw = gen.bit_generator, gen.standard_normal
-    state = _fresh_state()
-    inner, key = state["state"], state["state"]["key"]
-    counters, positions, buffers = _unpack_stops(*stops)
-    for row, seed in enumerate(seeds):
-        key[0] = int(seed) & _MASK64
-        inner["counter"] = counters[row]
-        state["buffer_pos"] = positions[row]
-        state["buffer"] = buffers[row]
-        bitgen.state = state
-        draw(None, np.float64, out[row])
+        for out in outs:
+            draw(None, np.float64, out[row])
 
 
 def _recur_in_place(x: np.ndarray, step, write_back: bool = True) -> np.ndarray:
@@ -385,6 +326,7 @@ def generate_paths(process: ProcessSpec, n: int, seeds: Sequence[Seed]) -> np.nd
     vectorized across paths. For AR(1) and ARCH(1) the result is a view
     of the draws (see Batching in the module docstring).
     """
+    n = as_index(n, "path length n", ConfigurationError)
     if n < 1:
         raise ConfigurationError(f"path length must be >= 1, got n={n}")
     if not hasattr(process, "paths"):
@@ -415,6 +357,7 @@ def banded_mixing_matrix(p: int) -> np.ndarray:
 
 def gen_hd_linear(n: int, spec: HDLinear, seed: Seed) -> np.ndarray:
     """An (n, p) panel from the truncated geometric-lag linear process."""
+    n = as_index(n, "panel length n", ConfigurationError)
     if n < 1:
         raise ConfigurationError(f"panel length must be >= 1, got n={n}")
     lag = spec.lag_cap

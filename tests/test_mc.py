@@ -104,6 +104,20 @@ class TestConfigValidation:
                 _config(master_seed=seed)
         assert _config(master_seed=2**64 - 1).master_seed == 2**64 - 1
 
+    @pytest.mark.parametrize(
+        "field, value, shown",
+        [("master_seed", 2.9, "2.9"), ("reps", True, "True"), ("n", 100.0, "100.0"), ("reps", "10", "'10'")],
+    )
+    def test_integer_fields_reject_other_types(self, field, value, shown):
+        name = {"master_seed": "master seed", "n": "path length n"}.get(field, field)
+        with pytest.raises(ConfigurationError, match=f"{name} must be an integer, got {shown}"):
+            _config(**{field: value})
+
+    def test_numpy_integers_become_python_ints(self):
+        cfg = _config(n=np.int32(200), reps=np.int64(2000), master_seed=np.uint64(2**64 - 1))
+        assert [type(v) for v in (cfg.n, cfg.reps, cfg.master_seed)] == [int, int, int]
+        assert cfg.as_dict()["master_seed"] == 2**64 - 1
+
     def test_workers_positive(self):
         with pytest.raises(ConfigurationError):
             estimate_tail(_config(reps=10), workers=0)

@@ -13,6 +13,7 @@ from blocknorm.blocks import Interlace
 from blocknorm.errors import ConfigurationError
 from blocknorm.mc import _CHUNK_REPS, SimConfig, estimate_tail
 from blocknorm.procgen import (
+    _ARCH_BAND,
     _BAND,
     _TILE,
     AR1,
@@ -190,7 +191,7 @@ class TestAgainstReferenceLoops:
 
 
 class TestArchSegments:
-    """ARCH(1) draws its burn-in, then its emitted innovations, into one buffer of rows."""
+    """ARCH(1) draws each row's burn-in into a band scratch, then its emitted innovations into the paths."""
 
     @pytest.mark.parametrize("n", [1, ARCH_BURN_IN - 1, ARCH_BURN_IN, ARCH_BURN_IN + 1, 1500])
     @pytest.mark.parametrize("process", [ARCH1(b=0.9), ARCH1(b=0.5, a=0.5)], ids=["b=0.9", "b=0.5,a=0.5"])
@@ -209,13 +210,11 @@ class TestArchSegments:
         assert np.array_equal(one, _reference_paths(ARCH1(b=0.9), 1500, [_SEEDS[5]]))
         assert generate_paths(ARCH1(b=0.9), 1500, []).shape == (0, 1500)
 
-    def test_a_misread_state_is_refused(self, monkeypatch):
-        # the saved stops are checked against the public state getter
-        monkeypatch.setattr(
-            procgen, "_state_views", lambda bitgen: (np.zeros(4, np.uint64), np.zeros(5, np.uint64))
-        )
-        with pytest.raises(RuntimeError, match="not laid out"):
-            generate_paths(ARCH1(b=0.9), 20, _SEEDS)
+    @pytest.mark.parametrize("n", [500, 1500])
+    def test_rows_across_burn_in_bands(self, n):
+        seeds = [derive_rep_seed(8, r) for r in range(_ARCH_BAND + 37)]
+        batch = generate_paths(ARCH1(b=0.9), n, seeds)
+        assert np.array_equal(batch, _reference_paths(ARCH1(b=0.9), n, seeds))
 
 
 @pytest.mark.parametrize(
@@ -223,13 +222,15 @@ class TestArchSegments:
     [
         (IIDNormal(), 1500, 1500),
         (AR1(0.7), 1500, 1501),
-        (ARCH1(b=0.9), 500, 1 + ARCH_BURN_IN),  # the burn-in segment is the wider
-        (ARCH1(b=0.9), 1500, 1501),  # the emitted segment is the wider
+        (ARCH1(b=0.9), 500, 501),
+        (ARCH1(b=0.9), 1500, 1501),
     ],
     ids=["iid", "ar1", "arch1-short", "arch1-long"],
 )
 def test_paths_hold_one_segment_of_draws_at_a_time(process, n, widest):
     seeds = [derive_rep_seed(11, r) for r in range(256)]
+    # ARCH(1) also holds its burn-in scratch, which does not grow with n
+    burn_in = min(_ARCH_BAND, len(seeds)) * (1 + ARCH_BURN_IN) * 8 if isinstance(process, ARCH1) else 0
     generate_paths(process, n, seeds[:2])  # one-time allocations do not count
     tracemalloc.start()
     try:
@@ -242,7 +243,7 @@ def test_paths_hold_one_segment_of_draws_at_a_time(process, n, widest):
     assert drawn.nbytes == len(seeds) * widest * 8
     # the recursions' tile buffer and scratch row hold (_TILE + 2) floats per path whatever n is
     scratch = (procgen._TILE + 2) * len(seeds) * 8
-    assert peak <= 1.1 * (len(seeds) * widest * 8 + scratch)
+    assert peak <= 1.1 * (len(seeds) * widest * 8 + scratch + burn_in)
 
 
 class TestDrawBuffers:
@@ -407,6 +408,59 @@ class TestParameterValidation:
             HDLinear(p=2, decay=1.0)
         with pytest.raises(ConfigurationError):
             HDLinear(p=2, decay=0.5, lag_cap=0)
+
+    def test_hd_linear_sizes_are_integers(self):
+        for field in ("p", "lag_cap"):
+            for value in (2.5, True, 3.0):
+                with pytest.raises(ConfigurationError, match=f"{field} must be an integer, got {value!r}"):
+                    HDLinear(**{"p": 2, "decay": 0.5, field: value})
+        spec = HDLinear(p=np.int64(3), decay=0.5, lag_cap=np.uint8(9))
+        assert (type(spec.p), type(spec.lag_cap)) == (int, int)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda seed: gen_iid_normal(4, seed),
+            lambda seed: gen_ar1(4, 0.5, seed),
+            lambda seed: gen_arch1(4, 1.0, 0.5, seed),
+            lambda seed: gen_hd_linear(4, HDLinear(p=2, decay=0.5, lag_cap=3), seed),
+            lambda seed: generate_paths(IIDNormal(), 4, [1, seed]),
+            lambda seed: ARCH1(b=0.5).paths(4, [1, seed]),
+            lambda seed: derive_rep_seed(seed, 0),
+        ],
+        ids=["iid", "ar1", "arch1", "hd-linear", "generate_paths", "arch1-paths", "derive_rep_seed"],
+    )
+    def test_seeds_are_64_bit_unsigned_integers(self, call):
+        for seed in (2.9, True, 2.0, "3"):
+            with pytest.raises(ConfigurationError, match="must be an integer"):
+                call(seed)
+        for seed in (-1, 2**64):
+            with pytest.raises(ConfigurationError, match="64-bit unsigned"):
+                call(seed)
+        assert np.array_equal(call(np.uint64(2**64 - 1)), call(2**64 - 1))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda n: gen_iid_normal(n, 1),
+            lambda n: gen_ar1(n, 0.5, 1),
+            lambda n: gen_arch1(n, 1.0, 0.5, 1),
+            lambda n: gen_hd_linear(n, HDLinear(p=2, decay=0.5, lag_cap=3), 1),
+            lambda n: generate_paths(IIDNormal(), n, [1]),
+        ],
+        ids=["iid", "ar1", "arch1", "hd-linear", "generate_paths"],
+    )
+    def test_lengths_are_integers(self, call):
+        for n in (4.0, True, 2.5):
+            with pytest.raises(ConfigurationError, match=f"length n must be an integer, got {n!r}"):
+                call(n)
+        assert np.array_equal(call(np.int16(4)), call(4))
+
+    def test_replication_index_is_an_integer(self):
+        for rep in (1.0, True, 0.5):
+            with pytest.raises(ConfigurationError, match=f"replication index must be an integer, got {rep!r}"):
+                derive_rep_seed(1, rep)
+        assert derive_rep_seed(np.uint64(0), np.int8(1)) == 0x6E789E6AA1B965F4
 
     def test_generate_paths_needs_series_process(self):
         with pytest.raises(ConfigurationError):
