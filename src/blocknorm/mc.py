@@ -7,10 +7,11 @@ and exceedance counts are merged by integer addition, which is exact
 and order-free.
 
 A run with one worker computes its chunks in the caller. A run with p
-workers, p = min(workers, chunks, os.cpu_count()) >= 2, sends its chunks
-to a pool of p worker processes (forked where the platform offers fork).
-The pool lives for the Python process: later runs with the same p reuse
-it, a run with another p replaces it, and it is shut down at exit.
+workers, p = min(workers, chunks, CPUs the process may run on) >= 2,
+sends its chunks to a pool of p worker processes (forked where the
+platform offers fork). The pool lives for the Python process: later runs
+with the same p reuse it, a run with another p replaces it, and it is
+shut down at exit.
 Workers ignore SIGINT, so Ctrl-C interrupts only the caller, and exit
 within a second of their caller if it is killed. A worker
 that dies (for example at the hands of the out-of-memory killer) ends
@@ -50,7 +51,7 @@ from .blocks import BlockScheme
 DEFAULT_X_GRID: tuple[float, ...] = tuple(round(1.6 + 0.1 * i, 10) for i in range(25))
 DEFAULT_REPS = 100_000
 
-_CHUNK_REPS = 4096  # fixed so that worker count cannot influence results
+_CHUNK_REPS = 1024  # bounds each worker's path memory; results never depend on it
 
 TABLE1_COLUMNS = ("x", "normal_upper", "t19_upper", "t9_upper", "t9_over_normal")
 
@@ -250,11 +251,18 @@ def _pool_results(config: SimConfig, bounds: list[tuple[int, int]], size: int, c
             f.cancel()
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on: its affinity set, where the platform reports one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run(config: SimConfig, workers: int, collect: bool):
     if workers < 1:
         raise ConfigurationError(f"need workers >= 1, got {workers}")
     bounds = _chunk_bounds(config.reps)
-    size = min(workers, len(bounds), os.cpu_count() or 1)  # one per chunk and per CPU at most
+    size = min(workers, len(bounds), _cpu_count())  # one per chunk and per CPU at most
 
     if size == 1:
         grid = np.asarray(config.x_grid, dtype=float)

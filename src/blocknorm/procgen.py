@@ -32,8 +32,8 @@ Draw protocol per path (fixed; changing it would change all outputs):
 * high-dimensional linear: an (n+lag_cap) x p block of draws, filled
   row-major, combined with geometric lag weights.
 
-Batching. generate_paths draws a chunk of paths through one Generator
-(ARCH(1): one per band of rows, below): before each row it re-keys the Philox to the exact state of a fresh
+Batching. generate_paths draws a chunk of paths through one Generator:
+before each row it re-keys the Philox to the exact state of a fresh
 Philox(key=seed) (key [seed, 0], counter 0, empty output buffer). A
 counter-based generator's stream is a pure function of its key and
 counter, so each row equals what a generator built for its seed alone
@@ -42,16 +42,6 @@ place over the draws, with the same floating-point operations in the
 same order as the step-by-step loops; the returned rows are therefore
 bit-identical to single-path generation, but they may be views into a
 wider array of draws rather than a contiguous array of their own.
-
-ARCH(1) draws a chunk's paths in bands of _ARCH_BAND rows, so it never
-holds all n + 1001 draws of its paths. For each row of a band it draws
-the initialization and burn-in into a row of one (band, 1001) scratch,
-then, from the same re-keyed generator, the n emitted innovations into
-columns 1..n of the paths buffer. The second call continues the row's
-stream where the first stopped, so every row draws the same n + 1001
-normals in the same order as in one call, and the protocol above is
-unchanged. The burn-in recursion then reduces each band's scratch to
-U_1000 in column 0, and the emitted recursion runs once over the chunk.
 """
 
 from __future__ import annotations
@@ -74,7 +64,6 @@ _MASK64 = (1 << 64) - 1
 RNG_ALGORITHM = "philox4x64(key=splitmix64-stream(master)[rep])+numpy-ziggurat-normal"
 
 ARCH_BURN_IN = 1000
-_ARCH_BAND = 512  # rows per band of the ARCH(1) burn-in scratch
 
 # draw buffers from 1 MiB up to glibc's largest mmap threshold (32 MiB)
 # reuse one memory map per thread: (map, weak reference to the last array made from it)
@@ -214,17 +203,13 @@ class ARCH1:
             u2 = np.multiply(np.multiply(b * b, prev, tmp), prev, tmp)
             np.multiply(np.sqrt(np.add(a * a, u2, tmp), tmp), cur, cur)
 
-        x = _draw_buffer(len(seeds), n + 1)
-        burn = np.empty((min(_ARCH_BAND, len(seeds)), 1 + ARCH_BURN_IN))
-        for lo in range(0, len(seeds), _ARCH_BAND):
-            band = seeds[lo : lo + _ARCH_BAND]
-            burn = burn[: len(band)]  # the last band may be short
-            _innovations(band, burn, x[lo : lo + _ARCH_BAND, 1:])
-            burn[:, 0] *= a / math.sqrt(1.0 - b * b)
-            x[lo : lo + _ARCH_BAND, 0] = _recur_in_place(burn, step, write_back=False)
-        del burn  # the scratch is freed before the emitted recursion
-        _recur_in_place(x, step)
-        return x[:, 1:]
+        x = _draw_buffer(len(seeds), n + 1 + ARCH_BURN_IN)
+        _innovations(seeds, x)
+        x[:, 0] *= a / math.sqrt(1.0 - b * b)
+        # the burn-in leaves only U_1000, in the column of the last innovation it used
+        x[:, ARCH_BURN_IN] = _recur_in_place(x[:, : ARCH_BURN_IN + 1], step, write_back=False)
+        _recur_in_place(x[:, ARCH_BURN_IN:], step)
+        return x[:, ARCH_BURN_IN + 1 :]
 
     def as_dict(self) -> dict:
         return {"process": "arch1", "a": self.a, "b": self.b}
@@ -265,12 +250,11 @@ _TILE = 64  # time steps per tile of the recursions
 _BAND = 256  # rows per piece of a tile's transposed copy
 
 
-def _innovations(seeds: Sequence[Seed], *outs: np.ndarray) -> None:
-    """Fill row r of each out in turn with the standard normals of seeds[r]'s stream.
+def _innovations(seeds: Sequence[Seed], out: np.ndarray) -> None:
+    """Fill row r of out with the standard normals of seeds[r]'s stream.
 
     One Generator serves every row: before each row its Philox is re-keyed
-    to a fresh Philox(key=seed). Row r of each out continues the stream
-    where row r of the out before it stopped.
+    to a fresh Philox(key=seed).
     """
     gen = generator(0)
     bitgen, draw = gen.bit_generator, gen.standard_normal  # called positionally: numpy parses out= slower
@@ -286,8 +270,7 @@ def _innovations(seeds: Sequence[Seed], *outs: np.ndarray) -> None:
     for row, seed in enumerate(seeds):
         key[0] = as_seed(seed)
         bitgen.state = state
-        for out in outs:
-            draw(None, np.float64, out[row])
+        draw(None, np.float64, out[row])
 
 
 def _recur_in_place(x: np.ndarray, step, write_back: bool = True) -> np.ndarray:

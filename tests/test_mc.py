@@ -30,7 +30,7 @@ from blocknorm.mc import (
     tail_table_csv,
     tail_table_payload,
 )
-from blocknorm.procgen import AR1, ARCH1, IIDNormal
+from blocknorm.procgen import AR1, ARCH1, IIDNormal, derive_rep_seed
 
 
 def _config(**overrides):
@@ -171,7 +171,7 @@ class TestAgainstExactNull:
         assert estimate_tail(cfg).ref.is_normal
 
     def test_statistic_values_match_scalar_api(self):
-        from blocknorm.procgen import derive_rep_seed, gen_iid_normal
+        from blocknorm.procgen import gen_iid_normal
         from blocknorm.stats import i_n_star
 
         cfg = _config(reps=64)
@@ -188,20 +188,25 @@ class TestDegenerateHandling:
             estimate_tail(_config(reps=100))
 
     def test_rare_degenerates_excluded_from_both_sides(self, monkeypatch):
-        real_kernel = mc.make_kernel
-
         class _Kernel:
-            def __init__(self, inner):
-                self.inner = inner
+            def __init__(self, inner, lo):
+                self.inner, self.lo = inner, lo
                 self.ref = inner.ref
 
             def values(self, paths, mu0):
                 values, degenerate = self.inner.values(paths, mu0)
                 degenerate = degenerate.copy()
-                degenerate[:1] = True  # first replication of each chunk
+                if self.lo == 0:  # replication 0, whatever the chunk size
+                    degenerate[0] = True
                 return values, degenerate
 
-        monkeypatch.setattr(mc, "make_kernel", lambda *a: _Kernel(real_kernel(*a)))
+        real_chunk = mc._run_chunk
+        monkeypatch.setattr(
+            mc, "_run_chunk",
+            lambda config, kernel, grid, bounds, collect: real_chunk(
+                config, _Kernel(kernel, bounds[0]), grid, bounds, collect
+            ),
+        )
         cfg = _config(reps=2000, x_grid=(-1e9,))
         table = estimate_tail(cfg)
         assert table.degenerate_count == 1
@@ -209,15 +214,17 @@ class TestDegenerateHandling:
         assert table.mc_tail[0] == 1.0
 
     def test_standard_error_counts_only_retained_draws(self, monkeypatch):
+        cfg = _config(reps=3000, x_grid=(0.0, 1.0, 2.0))
+        constant = {derive_rep_seed(cfg.master_seed, r) for r in (0, 1)}
         real_generate = mc.generate_paths
 
         def generate(process, n, seeds):
             paths = np.array(real_generate(process, n, seeds))
-            paths[:2] = 1.0  # constant paths: zero denominator, degenerate
+            # replications 0 and 1, whatever the chunk size: zero denominator, degenerate
+            paths[[row for row, seed in enumerate(seeds) if seed in constant]] = 1.0
             return paths
 
         monkeypatch.setattr(mc, "generate_paths", generate)
-        cfg = _config(reps=3000, x_grid=(0.0, 1.0, 2.0))
         table = estimate_tail(cfg)
         assert table.degenerate_count == 2
         values = simulate_stats(cfg)
@@ -384,7 +391,7 @@ class TestBatchSchemeEngine:
     def test_mu0_passes_through_to_the_statistic(self):
         import dataclasses
 
-        from blocknorm.procgen import derive_rep_seed, gen_iid_normal
+        from blocknorm.procgen import gen_iid_normal
         from blocknorm.stats import i_n_star
 
         cfg0 = _config(reps=50, x_grid=(0.0,))
@@ -418,6 +425,15 @@ def _live_children() -> set[int]:
     return {p.pid for p in multiprocessing.active_children()}
 
 
+def _allow_cpus(monkeypatch, cpus):
+    """Make the worker clamp count `cpus` CPUs; None: a platform that reports no affinity and no count."""
+    if cpus is None:
+        monkeypatch.delattr(mc.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
 class TestWorkerThreadBound:
     # three chunks, the last one row
     CFG = dict(n=40, scheme=Interlace(10), reps=2 * mc._CHUNK_REPS + 1, x_grid=(1.0, 2.0))
@@ -438,11 +454,44 @@ class TestWorkerThreadBound:
             return real_pool(size)
 
         monkeypatch.setattr(mc, "_worker_pool", recording_pool)
-        monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
+        _allow_cpus(monkeypatch, cpus)
         table = estimate_tail(_config(**self.CFG), workers=workers)
         assert sizes == expected
         assert len(_live_children()) == (expected[0] if expected else 0)
         assert np.array_equal(table.mc_tail, estimate_tail(_config(**self.CFG), workers=1).mc_tail)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+    def test_a_one_cpu_affinity_runs_in_the_caller(self):
+        code = (
+            "import os, sys\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "os.cpu_count = lambda: 8  # the machine's count, which the affinity set overrides\n"
+            "from blocknorm import IIDNormal, Interlace, SimConfig, estimate_tail\n"
+            f"estimate_tail(SimConfig(IIDNormal(), 40, Interlace(10), 'InStar', {2 * mc._CHUNK_REPS}, 0), workers=2)\n"
+            "assert 'multiprocessing' not in sys.modules, 'a worker pool was started'\n"
+        )
+        src = str(Path(mc.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+
+
+class TestChunkSize:
+    """The chunk size bounds a worker's memory; no result depends on it."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("process", [IIDNormal(), AR1(0.7), ARCH1(b=0.6)], ids=["iid", "ar1", "arch1"])
+    def test_results_do_not_depend_on_chunk_size(self, monkeypatch, fresh_pool, process, workers):
+        _allow_cpus(monkeypatch, 2)
+        cfg = _config(process=process, n=60, reps=2500, x_grid=(0.5, 1.0, 2.0))
+        table, values = estimate_tail(cfg, workers=workers), simulate_stats(cfg, workers=workers)
+        for size in (1000, 4096):
+            monkeypatch.setattr(mc, "_CHUNK_REPS", size)
+            other = estimate_tail(cfg, workers=workers)
+            for field in ("mc_tail", "ref_tail", "ratio", "mc_se"):
+                assert np.array_equal(getattr(other, field), getattr(table, field))
+            assert other.degenerate_count == table.degenerate_count
+            assert np.array_equal(simulate_stats(cfg, workers=workers), values)
 
 
 needs_fork = pytest.mark.skipif(
@@ -454,7 +503,7 @@ class TestWorkerPool:
     CFG = TestWorkerThreadBound.CFG
 
     def test_same_size_reuses_the_pool_and_another_size_replaces_it(self, monkeypatch, fresh_pool):
-        monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
+        _allow_cpus(monkeypatch, 4)
         cfg = _config(**self.CFG)
         first = estimate_tail(cfg, workers=2)
         pool, pids = mc._pool, _live_children()
@@ -471,7 +520,7 @@ class TestWorkerPool:
     def test_a_dead_worker_is_a_configuration_error_and_the_next_run_succeeds(self, monkeypatch, capsys, fresh_pool):
         argv = ["simulate", "--process", "iid", "--n", "40", "--stat", "i-star", "--m", "10",
                 "--reps", str(2 * mc._CHUNK_REPS), "--format", "json", "--workers", "2"]
-        monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+        _allow_cpus(monkeypatch, 2)
         real_chunk = mc._run_chunk
 
         def dying_chunk(config, kernel, grid, bounds, collect):
@@ -500,7 +549,7 @@ class TestWorkerPool:
     def test_workers_are_gone_once_the_caller_is(self, end, exit_code):
         code = (
             "import os, signal, sys\n"
-            "os.cpu_count = lambda: 2\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "from blocknorm import IIDNormal, Interlace, SimConfig, cli, estimate_tail\n"
             # a run that never starts a pool does not import the modules a pool needs
             "assert 'multiprocessing' not in sys.modules and 'concurrent.futures' not in sys.modules\n"
@@ -524,7 +573,7 @@ class TestWorkerPool:
 
     @needs_fork
     def test_a_forked_process_makes_its_own_pool(self, monkeypatch, fresh_pool):
-        monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+        _allow_cpus(monkeypatch, 2)
         cfg = _config(**self.CFG)
         expected = simulate_stats(cfg, workers=2)  # this process now has a pool
         ctx = multiprocessing.get_context("fork")

@@ -11,9 +11,8 @@ import pytest
 import blocknorm.procgen as procgen
 from blocknorm.blocks import Interlace
 from blocknorm.errors import ConfigurationError
-from blocknorm.mc import _CHUNK_REPS, SimConfig, estimate_tail
+from blocknorm.mc import _CHUNK_REPS, SimConfig, _chunk_bounds, estimate_tail
 from blocknorm.procgen import (
-    _ARCH_BAND,
     _BAND,
     _TILE,
     AR1,
@@ -191,7 +190,7 @@ class TestAgainstReferenceLoops:
 
 
 class TestArchSegments:
-    """ARCH(1) draws each row's burn-in into a band scratch, then its emitted innovations into the paths."""
+    """ARCH(1) draws each row's n + 1001 normals in one call, then recurs through the burn-in without write-back."""
 
     @pytest.mark.parametrize("n", [1, ARCH_BURN_IN - 1, ARCH_BURN_IN, ARCH_BURN_IN + 1, 1500])
     @pytest.mark.parametrize("process", [ARCH1(b=0.9), ARCH1(b=0.5, a=0.5)], ids=["b=0.9", "b=0.5,a=0.5"])
@@ -211,9 +210,11 @@ class TestArchSegments:
         assert generate_paths(ARCH1(b=0.9), 1500, []).shape == (0, 1500)
 
     @pytest.mark.parametrize("n", [500, 1500])
-    def test_rows_across_burn_in_bands(self, n):
-        seeds = [derive_rep_seed(8, r) for r in range(_ARCH_BAND + 37)]
-        batch = generate_paths(ARCH1(b=0.9), n, seeds)
+    def test_rows_across_chunk_edges(self, n):
+        seeds = [derive_rep_seed(8, r) for r in range(_CHUNK_REPS + 37)]
+        # chunked as a Monte Carlo run chunks its replications
+        chunks = [generate_paths(ARCH1(b=0.9), n, seeds[lo:hi]) for lo, hi in _chunk_bounds(len(seeds))]
+        batch = np.concatenate(chunks)
         assert np.array_equal(batch, _reference_paths(ARCH1(b=0.9), n, seeds))
 
 
@@ -222,15 +223,13 @@ class TestArchSegments:
     [
         (IIDNormal(), 1500, 1500),
         (AR1(0.7), 1500, 1501),
-        (ARCH1(b=0.9), 500, 501),
-        (ARCH1(b=0.9), 1500, 1501),
+        (ARCH1(b=0.9), 500, 500 + 1 + ARCH_BURN_IN),
+        (ARCH1(b=0.9), 1500, 1500 + 1 + ARCH_BURN_IN),
     ],
     ids=["iid", "ar1", "arch1-short", "arch1-long"],
 )
 def test_paths_hold_one_segment_of_draws_at_a_time(process, n, widest):
     seeds = [derive_rep_seed(11, r) for r in range(256)]
-    # ARCH(1) also holds its burn-in scratch, which does not grow with n
-    burn_in = min(_ARCH_BAND, len(seeds)) * (1 + ARCH_BURN_IN) * 8 if isinstance(process, ARCH1) else 0
     generate_paths(process, n, seeds[:2])  # one-time allocations do not count
     tracemalloc.start()
     try:
@@ -243,7 +242,23 @@ def test_paths_hold_one_segment_of_draws_at_a_time(process, n, widest):
     assert drawn.nbytes == len(seeds) * widest * 8
     # the recursions' tile buffer and scratch row hold (_TILE + 2) floats per path whatever n is
     scratch = (procgen._TILE + 2) * len(seeds) * 8
-    assert peak <= 1.1 * (len(seeds) * widest * 8 + scratch + burn_in)
+    assert peak <= 1.1 * (len(seeds) * widest * 8 + scratch)
+
+
+@pytest.mark.parametrize("process", [IIDNormal(), AR1(0.7), ARCH1(b=0.9)], ids=["iid", "ar1", "arch1"])
+def test_draw_buffers_hold_one_chunk_at_most(monkeypatch, process):
+    # tracemalloc cannot see a buffer in the memory map, so the requests are checked
+    shapes = []
+    real_buffer = procgen._draw_buffer
+
+    def spy(rows, cols):
+        shapes.append((rows, cols))
+        return real_buffer(rows, cols)
+
+    monkeypatch.setattr(procgen, "_draw_buffer", spy)
+    cfg = SimConfig(process, 1000, Interlace(50), "InStar", 2 * _CHUNK_REPS + 1, 0, x_grid=(1.0,))
+    estimate_tail(cfg, workers=1)
+    assert len(shapes) == 3 and max(rows for rows, _ in shapes) <= _CHUNK_REPS
 
 
 class TestDrawBuffers:
