@@ -34,9 +34,10 @@ Layout = tuple[int, tuple[tuple[str, int, int], ...]]  # (period, windows)
 
 
 def _store_sizes(scheme, *names: str) -> None:
-    """Store each named block size as a Python int; a bool or a non-integer is a ConfigurationError."""
+    """Store each named block size as a Python int; a bool, a non-integer or a size below 1 raises."""
     for name in names:
-        object.__setattr__(scheme, name, as_index(getattr(scheme, name), f"block size {name}", ConfigurationError))
+        size = as_index(getattr(scheme, name), f"block size {name}", ConfigurationError, lo=1)
+        object.__setattr__(scheme, name, size)
 
 
 @dataclass(frozen=True)
@@ -48,8 +49,6 @@ class BigSmall:
 
     def __post_init__(self) -> None:
         _store_sizes(self, "m1", "m2")
-        if self.m2 < 1:
-            raise ConfigurationError(f"block sizes must be >= 1, got m2={self.m2}")
         if self.m1 < self.m2:
             raise ConfigurationError(f"need m1 >= m2, got m1={self.m1}, m2={self.m2}")
 
@@ -68,8 +67,6 @@ class Interlace:
 
     def __post_init__(self) -> None:
         _store_sizes(self, "m")
-        if self.m < 1:
-            raise ConfigurationError(f"block size must be >= 1, got m={self.m}")
 
     def layout(self) -> Layout:
         return 2 * self.m, (("odd", 0, self.m),)
@@ -86,8 +83,6 @@ class Batch:
 
     def __post_init__(self) -> None:
         _store_sizes(self, "m")
-        if self.m < 1:
-            raise ConfigurationError(f"block size must be >= 1, got m={self.m}")
 
     def layout(self) -> Layout:
         return 2 * self.m, (("batch", 0, self.m), ("batch", self.m, self.m))
@@ -135,8 +130,7 @@ class BlockSums:
 
 def exponents_to_sizes(n: int, alpha1: float, alpha2: float) -> tuple[int, int]:
     """Block sizes m1 = floor(n**alpha1), m2 = floor(n**alpha2)."""
-    if n < 1:
-        raise ConfigurationError(f"need n >= 1, got n={n}")
+    n = as_index(n, "sample length n", ConfigurationError, lo=1)
     if not (0.0 < alpha2 <= alpha1 < 1.0):
         raise ConfigurationError(
             f"exponents must satisfy 0 < alpha2 <= alpha1 < 1, got ({alpha1}, {alpha2})"
@@ -146,6 +140,7 @@ def exponents_to_sizes(n: int, alpha1: float, alpha2: float) -> tuple[int, int]:
 
 def periods(scheme: BlockScheme, n: int) -> int:
     """Number k of whole periods of the scheme in n observations; k >= 1."""
+    n = as_index(n, "sample length n", ConfigurationError)
     period = scheme.layout()[0]
     if period > n:
         raise ConfigurationError(f"the {scheme.as_dict()['scheme']} period {period} exceeds n = {n}")

@@ -60,9 +60,7 @@ class RefDist:
     def __post_init__(self) -> None:
         if self.df is None:
             return
-        df = as_index(self.df, "degrees of freedom", DomainError)
-        if df < 1:
-            raise DomainError(f"degrees of freedom must be >= 1, got {df}")
+        df = as_index(self.df, "degrees of freedom", DomainError, lo=1)
         object.__setattr__(self, "df", df)  # a Python int, so labels and cache keys do not depend on its type
 
     @property

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and `as_index`, the one check of integer inputs.
+
+Its two messages: "<what> must be an integer, got <value>" and "<what> must be >= <lo>, got <value>".
+"""
 
 import operator
 
@@ -36,11 +39,15 @@ class DegenerateRateError(BlocknormError, RuntimeError):
     """
 
 
-def as_index(value, what: str, error: type[BlocknormError]) -> int:
-    """value as a Python int (numpy integers too); a bool or a non-integer raises error naming what."""
+def as_index(value, what: str, error: type[BlocknormError], lo: int | None = None) -> int:
+    """value as a Python int (numpy integers too), at least lo if given; anything else raises error naming what."""
     if not isinstance(value, bool):
         try:
-            return operator.index(value)
+            index = operator.index(value)
         except TypeError:
             pass
+        else:
+            if lo is None or index >= lo:
+                return index
+            raise error(f"{what} must be >= {lo}, got {index}")
     raise error(f"{what} must be an integer, got {value!r}")

@@ -74,10 +74,10 @@ class SimConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "x_grid", tuple(float(x) for x in self.x_grid))
         object.__setattr__(self, "n", as_index(self.n, "path length n", ConfigurationError))
-        object.__setattr__(self, "reps", as_index(self.reps, "reps", ConfigurationError))
+        object.__setattr__(self, "reps", as_index(self.reps, "reps", ConfigurationError, lo=1))
         object.__setattr__(self, "master_seed", as_seed(self.master_seed, "master seed"))
-        if self.reps < 1:
-            raise ConfigurationError(f"need reps >= 1, got {self.reps}")
+        if not hasattr(self.process, "paths"):
+            raise ConfigurationError(f"process {self.process!r} does not generate scalar paths")
         if not math.isfinite(self.mu0):
             raise ConfigurationError(f"mu0 must be finite, got {self.mu0}")
         if len(self.x_grid) < 1:
@@ -259,8 +259,7 @@ def _cpu_count() -> int:
 
 
 def _run(config: SimConfig, workers: int, collect: bool):
-    if workers < 1:
-        raise ConfigurationError(f"need workers >= 1, got {workers}")
+    workers = as_index(workers, "workers", ConfigurationError, lo=1)
     bounds = _chunk_bounds(config.reps)
     size = min(workers, len(bounds), _cpu_count())  # one per chunk and per CPU at most
 

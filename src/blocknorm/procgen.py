@@ -90,9 +90,7 @@ def as_seed(value, what: str = "seed") -> Seed:
 def derive_rep_seed(master: Seed, rep_index: int) -> Seed:
     """Per-replication seed: output rep_index of the SplitMix64 stream at master."""
     master = as_seed(master, "master seed")
-    rep_index = as_index(rep_index, "replication index", ConfigurationError)
-    if rep_index < 0:
-        raise ConfigurationError(f"replication index must be >= 0, got {rep_index}")
+    rep_index = as_index(rep_index, "replication index", ConfigurationError, lo=0)
     return splitmix64((master + rep_index * 0x9E3779B97F4A7C15) & _MASK64)
 
 
@@ -135,9 +133,7 @@ class IIDNormal:
     """Independent standard normal observations."""
 
     def paths(self, n: int, seeds: Sequence[Seed]) -> np.ndarray:
-        out = _draw_buffer(len(seeds), n)
-        _innovations(seeds, out)
-        return out
+        return _draws(seeds, n, 0)
 
     def as_dict(self) -> dict:
         return {"process": "iid"}
@@ -160,8 +156,7 @@ class AR1:
         def step(prev, cur, tmp):
             np.add(np.multiply(rho, prev, tmp), cur, cur)
 
-        eps = _draw_buffer(len(seeds), n + 1)
-        _innovations(seeds, eps)
+        eps = _draws(seeds, n, 1)
         eps[:, 0] /= math.sqrt(1.0 - rho * rho)
         _recur_in_place(eps, step)
         return eps[:, 1:]
@@ -203,8 +198,7 @@ class ARCH1:
             u2 = np.multiply(np.multiply(b * b, prev, tmp), prev, tmp)
             np.multiply(np.sqrt(np.add(a * a, u2, tmp), tmp), cur, cur)
 
-        x = _draw_buffer(len(seeds), n + 1 + ARCH_BURN_IN)
-        _innovations(seeds, x)
+        x = _draws(seeds, n, 1 + ARCH_BURN_IN)
         x[:, 0] *= a / math.sqrt(1.0 - b * b)
         # the burn-in leaves only U_1000, in the column of the last innovation it used
         x[:, ARCH_BURN_IN] = _recur_in_place(x[:, : ARCH_BURN_IN + 1], step, write_back=False)
@@ -231,13 +225,9 @@ class HDLinear:
 
     def __post_init__(self) -> None:
         for name in ("p", "lag_cap"):
-            object.__setattr__(self, name, as_index(getattr(self, name), name, ConfigurationError))
-        if self.p < 1:
-            raise ConfigurationError(f"dimension p must be >= 1, got {self.p}")
+            object.__setattr__(self, name, as_index(getattr(self, name), name, ConfigurationError, lo=1))
         if not 0.0 <= self.decay < 1.0:
             raise ConfigurationError(f"decay must lie in [0, 1), got {self.decay}")
-        if self.lag_cap < 1:
-            raise ConfigurationError(f"lag_cap must be >= 1, got {self.lag_cap}")
 
     def as_dict(self) -> dict:
         return {"process": "hd-linear", "p": self.p, "decay": self.decay, "lag_cap": self.lag_cap}
@@ -250,12 +240,12 @@ _TILE = 64  # time steps per tile of the recursions
 _BAND = 256  # rows per piece of a tile's transposed copy
 
 
-def _innovations(seeds: Sequence[Seed], out: np.ndarray) -> None:
-    """Fill row r of out with the standard normals of seeds[r]'s stream.
+def _draws(seeds: Sequence[Seed], n: int, lead: int) -> np.ndarray:
+    """Check the path length n and return a (len(seeds), lead + n) buffer; row r gets seeds[r]'s normals.
 
-    One Generator serves every row: before each row its Philox is re-keyed
-    to a fresh Philox(key=seed).
+    One Generator serves every row: before each row its Philox is re-keyed to a fresh Philox(key=seed).
     """
+    out = _draw_buffer(len(seeds), lead + as_index(n, "path length n", ConfigurationError, lo=1))
     gen = generator(0)
     bitgen, draw = gen.bit_generator, gen.standard_normal  # called positionally: numpy parses out= slower
     key = [0, 0]  # with key[0] set to a seed, state is that of a fresh Philox(key=seed)
@@ -271,6 +261,7 @@ def _innovations(seeds: Sequence[Seed], out: np.ndarray) -> None:
         key[0] = as_seed(seed)
         bitgen.state = state
         draw(None, np.float64, out[row])
+    return out
 
 
 def _recur_in_place(x: np.ndarray, step, write_back: bool = True) -> np.ndarray:
@@ -309,9 +300,6 @@ def generate_paths(process: ProcessSpec, n: int, seeds: Sequence[Seed]) -> np.nd
     vectorized across paths. For AR(1) and ARCH(1) the result is a view
     of the draws (see Batching in the module docstring).
     """
-    n = as_index(n, "path length n", ConfigurationError)
-    if n < 1:
-        raise ConfigurationError(f"path length must be >= 1, got n={n}")
     if not hasattr(process, "paths"):
         raise ConfigurationError(f"process {process!r} does not generate scalar paths")
     return process.paths(n, seeds)
@@ -340,9 +328,7 @@ def banded_mixing_matrix(p: int) -> np.ndarray:
 
 def gen_hd_linear(n: int, spec: HDLinear, seed: Seed) -> np.ndarray:
     """An (n, p) panel from the truncated geometric-lag linear process."""
-    n = as_index(n, "panel length n", ConfigurationError)
-    if n < 1:
-        raise ConfigurationError(f"panel length must be >= 1, got n={n}")
+    n = as_index(n, "panel length n", ConfigurationError, lo=1)
     lag = spec.lag_cap
     eta = generator(seed).standard_normal((n + lag, spec.p))
     weights = spec.decay ** np.arange(lag + 1)

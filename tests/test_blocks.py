@@ -30,6 +30,9 @@ class TestExponents:
             exponents_to_sizes(0, 0.5, 0.5)
         with pytest.raises(ConfigurationError):
             exponents_to_sizes(1000, 1.0, 0.5)
+        for n in (10.5, True):
+            with pytest.raises(ConfigurationError, match=f"sample length n must be an integer, got {n!r}"):
+                exponents_to_sizes(n, 0.5, 0.5)
 
     def test_smallest_n_gives_unit_blocks(self):
         # n**alpha >= 1 whenever n >= 1, so no accepted n leaves a block size below 1
@@ -60,11 +63,14 @@ class TestBigSmallPartition:
             bbsb_partition(10, 2, 3)  # m1 < m2
         with pytest.raises(ConfigurationError):
             BigSmall(3, 0)
+        for n in (10.0, "10", True):
+            with pytest.raises(ConfigurationError, match=f"sample length n must be an integer, got {n!r}"):
+                bbsb_partition(n, 3, 2)
 
 
 @pytest.mark.parametrize("scheme", [Interlace, Batch])
 def test_equal_block_schemes_need_positive_size(scheme):
-    with pytest.raises(ConfigurationError, match="block size must be >= 1, got m=0"):
+    with pytest.raises(ConfigurationError, match="block size m must be >= 1, got 0"):
         scheme(0)
 
 
@@ -85,6 +91,9 @@ class TestInterlacePartition:
     def test_degenerate(self):
         with pytest.raises(ConfigurationError):
             interlace_partition(3, 2)
+        for n in (10.0, "10", True):
+            with pytest.raises(ConfigurationError, match=f"sample length n must be an integer, got {n!r}"):
+                interlace_partition(n, 2)
 
 
 class TestBatchPartition:
@@ -100,6 +109,9 @@ class TestBatchPartition:
     def test_degenerate(self):
         with pytest.raises(ConfigurationError):
             batch_partition(3, 2)
+        for n in (10.0, "10", True):
+            with pytest.raises(ConfigurationError, match=f"sample length n must be an integer, got {n!r}"):
+                batch_partition(n, 2)
 
 
 class TestBlockSums:

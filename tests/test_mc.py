@@ -30,7 +30,7 @@ from blocknorm.mc import (
     tail_table_csv,
     tail_table_payload,
 )
-from blocknorm.procgen import AR1, ARCH1, IIDNormal, derive_rep_seed
+from blocknorm.procgen import AR1, ARCH1, HDLinear, IIDNormal, derive_rep_seed
 
 
 def _config(**overrides):
@@ -119,8 +119,22 @@ class TestConfigValidation:
         assert cfg.as_dict()["master_seed"] == 2**64 - 1
 
     def test_workers_positive(self):
-        with pytest.raises(ConfigurationError):
-            estimate_tail(_config(reps=10), workers=0)
+        cfg = _config(reps=10, process=AR1(0.5))
+        calls = [
+            lambda w: estimate_tail(cfg, workers=w),
+            lambda w: simulate_stats(cfg, workers=w),
+            lambda w: ratio_grid(cfg, [0.5], workers=w),
+        ]
+        for call in calls:
+            for workers in (True, 1.5, "2"):
+                with pytest.raises(ConfigurationError, match=f"workers must be an integer, got {workers!r}"):
+                    call(workers)
+            with pytest.raises(ConfigurationError, match="workers must be >= 1, got 0"):
+                call(0)
+
+    def test_process_must_draw_scalar_paths(self):
+        with pytest.raises(ConfigurationError, match="does not generate scalar paths"):
+            _config(process=HDLinear(2, 0.5))
 
 
 class TestDeterminismAndWorkers:

@@ -462,12 +462,18 @@ class TestParameterValidation:
             lambda n: gen_arch1(n, 1.0, 0.5, 1),
             lambda n: gen_hd_linear(n, HDLinear(p=2, decay=0.5, lag_cap=3), 1),
             lambda n: generate_paths(IIDNormal(), n, [1]),
+            lambda n: IIDNormal().paths(n, [1]),
+            lambda n: AR1(0.5).paths(n, [1]),
+            lambda n: ARCH1(b=0.5).paths(n, [1]),
         ],
-        ids=["iid", "ar1", "arch1", "hd-linear", "generate_paths"],
+        ids=["iid", "ar1", "arch1", "hd-linear", "generate_paths", "iid-paths", "ar1-paths", "arch1-paths"],
     )
     def test_lengths_are_integers(self, call):
         for n in (4.0, True, 2.5):
             with pytest.raises(ConfigurationError, match=f"length n must be an integer, got {n!r}"):
+                call(n)
+        for n in (0, -1):
+            with pytest.raises(ConfigurationError, match=f"length n must be >= 1, got {n}"):
                 call(n)
         assert np.array_equal(call(np.int16(4)), call(4))
 
