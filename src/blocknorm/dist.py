@@ -190,13 +190,11 @@ def _t_upper(xs: list[float], df: int) -> list[float]:
             zs.append(z)
             fronts.append(math.exp(ln_c + a * math.log(z) + b * math.log1p(-z)))
     lanes, zs, fronts = direct
-    if lanes:
-        for i, front, cf in zip(lanes, fronts, _cont_frac(a, b, zs)):
-            upper[i] = 0.5 * (front * cf / a)
+    for i, front, cf in zip(lanes, fronts, _cont_frac(a, b, zs)):
+        upper[i] = 0.5 * (front * cf / a)
     lanes, zs, fronts = complement
-    if lanes:
-        for i, front, cf in zip(lanes, fronts, _cont_frac(b, a, [1.0 - z for z in zs])):
-            upper[i] = 0.5 * (1.0 - front * cf / b)
+    for i, front, cf in zip(lanes, fronts, _cont_frac(b, a, [1.0 - z for z in zs])):
+        upper[i] = 0.5 * (1.0 - front * cf / b)
     return [u if x >= 0.0 else 1.0 - u for x, u in zip(xs, upper)]
 
 

@@ -150,7 +150,7 @@ def _run_chunk(
     lo, hi = bounds
     seeds = [derive_rep_seed(config.master_seed, r) for r in range(lo, hi)]
     paths = generate_paths(config.process, config.n, seeds)
-    values, degenerate = kernel.values(paths, config.mu0)
+    values, degenerate = kernel.values(paths)
     good = values[~degenerate]
     if not np.isfinite(good).all():
         raise ArithmeticError(
@@ -361,11 +361,17 @@ def table1(x_grid: Sequence[float] = DEFAULT_X_GRID) -> np.ndarray:
     return np.column_stack([x, nu, ref_upper(student_t(19), x), t9, t9 / nu])
 
 
+def _label(value: float, spec: str) -> str:
+    """value in format spec where that reads back as the same float, else its repr."""
+    text = format(value, spec)
+    return text if float(text) == value else repr(float(value))
+
+
 def table1_csv(x_grid: Sequence[float] = DEFAULT_X_GRID) -> str:
     """The reference tail table as CSV, five decimal places."""
     lines = [",".join(TABLE1_COLUMNS)]
     for x, nu, t19u, t9u, ratio in table1(x_grid):
-        lines.append(f"{x:.1f},{nu:.5f},{t19u:.5f},{t9u:.5f},{ratio:.5f}")
+        lines.append(f"{_label(x, '.1f')},{nu:.5f},{t19u:.5f},{t9u:.5f},{ratio:.5f}")
     return "\n".join(lines) + "\n"
 
 
@@ -374,7 +380,7 @@ def tail_table_csv(table: TailTable) -> str:
     lines = ["x,ratio,ratio_full,mc_tail,ref_tail,mc_se,degenerate_count"]
     for i, x in enumerate(table.x):
         lines.append(
-            f"{x:g},{table.ratio[i]:.2f},{table.ratio[i]:.17g},"
+            f"{_label(x, 'g')},{table.ratio[i]:.2f},{table.ratio[i]:.17g},"
             f"{table.mc_tail[i]:.17g},{table.ref_tail[i]:.17g},"
             f"{table.mc_se[i]:.17g},{table.degenerate_count}"
         )
@@ -384,12 +390,12 @@ def tail_table_csv(table: TailTable) -> str:
 def ratio_grid_csv(grid: RatioGrid) -> str:
     """Grid as CSV: x, one 2-decimal column per parameter, then full columns."""
     name = grid.param_name
-    short = [f"{name}={v:g}" for v in grid.param_values]
+    short = [f"{name}={_label(v, 'g')}" for v in grid.param_values]
     header = ["x"] + short + [f"full:{c}" for c in short]
     lines = [",".join(header)]
     ratios = grid.ratios
     for i, x in enumerate(grid.x):
-        row = [f"{x:g}"]
+        row = [_label(x, "g")]
         row += [f"{r:.2f}" for r in ratios[i]]
         row += [f"{r:.17g}" for r in ratios[i]]
         lines.append(",".join(row))

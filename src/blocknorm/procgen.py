@@ -38,10 +38,13 @@ Philox(key=seed) (key [seed, 0], counter 0, empty output buffer). A
 counter-based generator's stream is a pure function of its key and
 counter, so each row equals what a generator built for its seed alone
 would draw. The AR(1) and ARCH(1) recursions then run time-major and in
-place over the draws, with the same floating-point operations in the
-same order as the step-by-step loops; the returned rows are therefore
-bit-identical to single-path generation, but they may be views into a
-wider array of draws rather than a contiguous array of their own.
+place over the draws, in one pass per chunk, with the same floating-point
+operations in the same order as the step-by-step loops. The pass copies
+back only the time tiles that reach the columns a path keeps: AR(1)'s
+from column 1, ARCH(1)'s from the first after its burn-in. The returned
+rows are therefore bit-identical to single-path generation, but they
+may be views into a wider array of draws rather than a contiguous array
+of their own.
 """
 
 from __future__ import annotations
@@ -200,9 +203,7 @@ class ARCH1:
 
         x = _draws(seeds, n, 1 + ARCH_BURN_IN)
         x[:, 0] *= a / math.sqrt(1.0 - b * b)
-        # the burn-in leaves only U_1000, in the column of the last innovation it used
-        x[:, ARCH_BURN_IN] = _recur_in_place(x[:, : ARCH_BURN_IN + 1], step, write_back=False)
-        _recur_in_place(x[:, ARCH_BURN_IN:], step)
+        _recur_in_place(x, step, keep=ARCH_BURN_IN + 1)
         return x[:, ARCH_BURN_IN + 1 :]
 
     def as_dict(self) -> dict:
@@ -264,14 +265,14 @@ def _draws(seeds: Sequence[Seed], n: int, lead: int) -> np.ndarray:
     return out
 
 
-def _recur_in_place(x: np.ndarray, step, write_back: bool = True) -> np.ndarray:
-    """Overwrite x[:, t] with step(x[:, t-1], x[:, t], tmp) for t = 1, 2, ... in turn; return the last column.
+def _recur_in_place(x: np.ndarray, step, keep: int = 1) -> None:
+    """Run x[:, t] = step(x[:, t-1], x[:, t], tmp) for t = 1, 2, ... in one pass; x holds them from column keep on.
 
     Time runs in tiles of _TILE steps. Each tile is copied transposed,
     _BAND rows at a time so the copy stays in cache, into a small buffer
     whose rows are time steps, so every step works on contiguous memory.
-    Without write_back, x keeps its inputs and only the returned last
-    column (a view of that buffer) holds a result. A step computes its
+    Only the tiles that reach column keep are copied back, so columns
+    before keep may still hold their inputs. A step computes its
     intermediate results into tmp, one scratch row.
     """
     rows, cols = x.shape
@@ -285,11 +286,10 @@ def _recur_in_place(x: np.ndarray, step, write_back: bool = True) -> np.ndarray:
             buf[1 : width + 1, r : r + _BAND] = x[r : r + _BAND, lo : lo + width].T
         for t in range(1, width + 1):
             step(slots[t - 1], slots[t], tmp)
-        if write_back:
+        if lo + width > keep:
             for r in range(0, rows, _BAND):
                 x[r : r + _BAND, lo : lo + width] = buf[1 : width + 1, r : r + _BAND].T
         buf[0] = buf[width]
-    return buf[0]
 
 
 def generate_paths(process: ProcessSpec, n: int, seeds: Sequence[Seed]) -> np.ndarray:

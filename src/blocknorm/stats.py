@@ -110,11 +110,12 @@ def _student_rows(y: np.ndarray, hyp_block_mean: float) -> tuple[np.ndarray, np.
 class StatKernel:
     """Vectorized evaluator of one statistic kind for fixed (scheme, n).
 
-    Built once per run; `values` maps a (rows, n) batch of series to the
-    statistic values plus a degeneracy mask. The scalar operations below
-    run through the same kernel, so batched and one-at-a-time evaluation
-    agree bit for bit. A statistic uses the windows tagged like the
-    scheme's first window, over k whole periods.
+    Built once per run, for the mu0 make_kernel validated; `values` maps
+    a (rows, n) batch of series to the statistic values centred at that
+    mu0, plus a degeneracy mask. The scalar operations below run through
+    the same kernel, so batched and one-at-a-time evaluation agree bit for
+    bit. A statistic uses the windows tagged like the scheme's first
+    window, over k whole periods.
     """
 
     kind: str
@@ -126,16 +127,17 @@ class StatKernel:
     block_length: int
     studentized: bool
     ref: RefDist
+    mu0: float
 
     def sums(self, x: np.ndarray) -> np.ndarray:
         return tagged_sums(x, self.scheme, self.k, self.tag)
 
-    def values(self, x: np.ndarray, mu0: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    def values(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         y = self.sums(x)
         if self.studentized:
-            return _student_rows(y, self.block_length * mu0)
-        if mu0 != 0.0:
-            y = y - self.block_length * mu0
+            return _student_rows(y, self.block_length * self.mu0)
+        if self.mu0 != 0.0:
+            y = y - self.block_length * self.mu0
         return _selfnorm_rows(y)
 
 
@@ -176,13 +178,14 @@ def make_kernel(kind: str, scheme: BlockScheme, n: int, mu0: float = 0.0) -> Sta
         block_length=length,
         studentized=studentized,
         ref=ref,
+        mu0=float(mu0),
     )
 
 
 def _scalar(kind: str, scheme: BlockScheme, series, mu0: float = 0.0) -> StatValue:
     x = finite_array(series, 1, "series")
     kernel = make_kernel(kind, scheme, x.size, mu0)
-    values, degenerate = kernel.values(x[np.newaxis, :], mu0)
+    values, degenerate = kernel.values(x[np.newaxis, :])
     if degenerate[0]:
         raise DegenerateDenominatorError(
             f"{kernel.kind}: block sums leave no spread to normalize by"

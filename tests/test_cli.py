@@ -120,6 +120,18 @@ class TestSimulateCommand:
         assert lines[0] == "x,rho=0,rho=0.1,rho=0.2,full:rho=0,full:rho=0.1,full:rho=0.2"
         assert len(lines) == 4
 
+    def test_grid_csv_labels_tell_close_points_apart(self, capsys):
+        code, out, _ = _run(
+            capsys, "simulate", "--process", "ar1", "--rho-grid", "0.1:0.1000002:0.0000001",
+            "--stat", "i-star", "--m", "10", "--n", "100", "--reps", "40",
+            "--seed", "5", "--x", "2:2.0000003:0.0000001",
+        )
+        assert code == 0
+        lines = out.strip().splitlines()
+        short = ["rho=0.1", "rho=0.1000001", "rho=0.1000002"]
+        assert lines[0].split(",") == ["x"] + short + [f"full:{c}" for c in short]
+        assert [line.split(",")[0] for line in lines[1:]] == ["2", "2.0000001", "2.0000002", "2.0000003"]
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_grid_manifest_records_the_grid(self, capsys, tmp_path, fmt):
         path = tmp_path / "grid.out"

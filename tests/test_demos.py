@@ -1,8 +1,9 @@
 """Smoke tests: four demos run to the end and print their closing results.
 
 demo_dependence_ratios.py is left out: it simulates whole tail-ratio
-grids under AR(1) and ARCH(1) and takes about 27 s on 2 cores, against
-about 3 s for the other four together.
+grids under AR(1) and ARCH(1) and takes about 13 s on 2 cores, against
+about 3 s for the other four together. The CI workflow runs it in one
+matrix leg instead.
 """
 
 import os

@@ -46,7 +46,7 @@ from blocknorm.cli import main
 from blocknorm.stats import make_kernel
 
 N = 300
-REPS = 8192  # two Monte Carlo chunks
+REPS = 8192  # eight Monte Carlo chunks of 1024 replications
 PROCESSES = {"iid": IIDNormal(), "ar1": AR1(rho=0.5), "arch1": ARCH1(b=0.5)}
 SCHEMES = {
     "Wn": BigSmall(12, 3),

@@ -1,5 +1,6 @@
 """Monte Carlo engine: determinism, worker invariance, tables, KS."""
 
+import gc
 import json
 import multiprocessing
 import os
@@ -7,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+from multiprocessing import resource_tracker
 from pathlib import Path
 
 import numpy as np
@@ -207,8 +209,8 @@ class TestDegenerateHandling:
                 self.inner, self.lo = inner, lo
                 self.ref = inner.ref
 
-            def values(self, paths, mu0):
-                values, degenerate = self.inner.values(paths, mu0)
+            def values(self, paths):
+                values, degenerate = self.inner.values(paths)
                 degenerate = degenerate.copy()
                 if self.lo == 0:  # replication 0, whatever the chunk size
                     degenerate[0] = True
@@ -339,6 +341,11 @@ class TestTable1:
             "0.00466", "0.00879", "0.01437", "3.08271",
         )
 
+    def test_csv_x_labels_read_back_as_their_x(self):
+        xs = [1.65, 1.66, 1.649]  # .1f would print 1.6, 1.7, 1.6
+        rows = table1_csv(xs).strip().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["1.65", "1.66", "1.649"]
+
 
 class TestGridsAndSerialization:
     def test_single_point_grid(self):
@@ -363,6 +370,16 @@ class TestGridsAndSerialization:
     def test_grid_requires_parametric_process(self):
         with pytest.raises(ConfigurationError):
             ratio_grid(_config(), [0.1])
+
+    def test_csv_labels_read_back_as_their_values(self):
+        xs = (2.0, 2.0000001, 2.0000002)  # :g would print 2 for each
+        labels = ["2", "2.0000001", "2.0000002"]
+        table = estimate_tail(_config(reps=100, x_grid=xs))
+        assert [row.split(",")[0] for row in tail_table_csv(table).strip().splitlines()[1:]] == labels
+        grid = ratio_grid(_config(process=AR1(0.0), reps=100, x_grid=xs), [0.1, 0.1000001])
+        lines = ratio_grid_csv(grid).strip().splitlines()
+        assert lines[0] == "x,rho=0.1,rho=0.1000001,full:rho=0.1,full:rho=0.1000001"
+        assert [row.split(",")[0] for row in lines[1:]] == labels
 
     def test_tail_table_csv_columns(self):
         table = estimate_tail(_config(reps=200))
@@ -529,6 +546,31 @@ class TestWorkerPool:
         assert len(_live_children()) == 3 and not _live_children() & pids  # the old workers have exited
         assert np.array_equal(first.mc_tail, third.mc_tail)
         assert np.array_equal(again, simulate_stats(cfg, workers=1))
+
+    def test_spawned_workers_match_one_worker(self, monkeypatch, fresh_pool):
+        # get_context(None) is the platform default, fork on Linux, so spawn is forced here
+        real_context, spawned = multiprocessing.get_context, []
+        tracker = resource_tracker._resource_tracker
+        tracker_was_running = tracker._fd is not None
+
+        def spawn_context(method=None):
+            spawned.append(method)
+            return real_context("spawn")
+
+        monkeypatch.setattr(multiprocessing, "get_context", spawn_context)
+        _allow_cpus(monkeypatch, 2)
+        cfg = _config(**dict(self.CFG, process=ARCH1(b=0.6)))
+        table = estimate_tail(cfg, workers=2)
+        assert spawned and mc._pool[0] == 2
+        one = estimate_tail(cfg, workers=1)
+        for field in ("mc_tail", "ref_tail", "ratio", "mc_se"):
+            assert np.array_equal(getattr(table, field), getattr(one, field))
+        # spawn starts the resource tracker, which would outlive the test: stop it once the
+        # pool's semaphores are gone, so that none of them starts it again
+        mc._close_pool()
+        gc.collect()
+        if not tracker_was_running:
+            tracker._stop()
 
     @needs_fork
     def test_a_dead_worker_is_a_configuration_error_and_the_next_run_succeeds(self, monkeypatch, capsys, fresh_pool):

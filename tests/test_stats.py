@@ -182,7 +182,7 @@ class TestDegenerateAndErrors:
     def test_raw_kernel_takes_a_mu0_whose_square_overflows(self):
         # (2 * m * mu0 * sqrt(k))**2 = (20e155 * sqrt(5))**2 overflows; the scaled sums do not
         kernel = make_kernel("In", Interlace(10), 100, 1e155)
-        values, degenerate = kernel.values(np.arange(1.0, 101.0)[np.newaxis, :], 1e155)
+        values, degenerate = kernel.values(np.arange(1.0, 101.0)[np.newaxis, :])
         assert not degenerate[0]
         assert values[0] == pytest.approx(-math.sqrt(5.0), rel=1e-12)
 
