@@ -11,7 +11,10 @@ workers, p = min(workers, chunks, CPUs the process may run on) >= 2,
 sends its chunks to a pool of p worker processes (forked where the
 platform offers fork). The pool lives for the Python process: later runs
 with the same p reuse it, a run with another p replaces it, and it is
-shut down at exit.
+shut down at exit. Either way one loop folds in each chunk's results in
+chunk order as they arrive, so a one-worker run holds one chunk at a
+time. A pool run still submits every chunk when it starts (and drops
+those still queued after an error or an interrupt).
 Workers ignore SIGINT, so Ctrl-C interrupts only the caller, and exit
 within a second of their caller if it is killed. A worker
 that dies (for example at the hands of the out-of-memory killer) ends
@@ -32,13 +35,14 @@ overflow: with m the block length and k the block-sum count,
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import os
 import signal
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -136,8 +140,8 @@ class RatioGrid:
         return np.column_stack([t.ratio for t in self.tables])
 
 
-def _chunk_bounds(reps: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + _CHUNK_REPS, reps)) for lo in range(0, reps, _CHUNK_REPS)]
+def _chunk_bounds(reps: int) -> Iterator[tuple[int, int]]:
+    return ((lo, min(lo + _CHUNK_REPS, reps)) for lo in range(0, reps, _CHUNK_REPS))
 
 
 def _run_chunk(
@@ -230,25 +234,20 @@ def _worker_pool(size: int):
     return executor
 
 
-def _pool_results(config: SimConfig, bounds: list[tuple[int, int]], size: int, collect: bool) -> list:
+def _pool_results(size: int, tasks: tuple) -> Iterator:
     """The chunks' results in chunk order, computed by the pool of `size` workers."""
     from concurrent.futures.process import BrokenProcessPool
 
-    futures = []
     try:
         with _pool_lock:  # no other thread may replace the pool between making and using it
-            pool = _worker_pool(size)
-            futures = [pool.submit(_chunk_task, config, b, collect) for b in bounds]
-        return [f.result() for f in futures]
+            results = _worker_pool(size).map(_chunk_task, *tasks)
+        yield from results
     except BrokenProcessPool:
         _close_pool()
         raise ConfigurationError(
             f"a worker process died (workers = {size}); if it ran out of memory, "
             f"use fewer workers: each holds one chunk of {_CHUNK_REPS} paths"
         ) from None
-    finally:
-        for f in futures:  # after an error or an interrupt, queued chunks are dropped
-            f.cancel()
 
 
 def _cpu_count() -> int:
@@ -260,24 +259,21 @@ def _cpu_count() -> int:
 
 def _run(config: SimConfig, workers: int, collect: bool):
     workers = as_index(workers, "workers", ConfigurationError, lo=1)
-    bounds = _chunk_bounds(config.reps)
-    size = min(workers, len(bounds), _cpu_count())  # one per chunk and per CPU at most
-
-    if size == 1:
-        grid = np.asarray(config.x_grid, dtype=float)
-        results = [_run_chunk(config, config.kernel, grid, b, collect) for b in bounds]
-    else:
-        results = _pool_results(config, bounds, size, collect)
-
-    counts = np.sum([r[0] for r in results], axis=0)
-    degenerate = sum(r[1] for r in results)
+    size = min(workers, -(-config.reps // _CHUNK_REPS), _cpu_count())  # one per chunk and per CPU at most
+    tasks = (itertools.repeat(config), _chunk_bounds(config.reps), itertools.repeat(collect))
+    results = map(_chunk_task, *tasks) if size == 1 else _pool_results(size, tasks)
+    counts, degenerate, values = 0, 0, []
+    for chunk_counts, chunk_degenerate, chunk_values in results:
+        counts = counts + chunk_counts
+        degenerate += chunk_degenerate
+        if collect:
+            values.append(chunk_values)
     if degenerate > 0.001 * config.reps:
         raise DegenerateRateError(
             f"{degenerate} of {config.reps} replications were degenerate "
             f"(> 0.1%): check the process/statistic configuration"
         )
-    values = np.concatenate([r[2] for r in results]) if collect else None
-    return counts, degenerate, values
+    return counts, degenerate, (np.concatenate(values) if collect else None)
 
 
 def simulate_stats(config: SimConfig, workers: int = 1) -> np.ndarray:
@@ -333,13 +329,13 @@ def ratio_grid(config: SimConfig, params: Sequence[float], workers: int = 1) -> 
 def ks_distance(sample, ref: RefDist) -> float:
     """Sup distance between the empirical CDF of the sample and ref's CDF.
 
-    ref's CDF is evaluated in one array call over the sorted sample; a
-    non-finite sample value raises DomainError.
+    ref's CDF is evaluated in one array call over the sorted sample, a nonempty
+    1-D array (else DataError) of finite values (else DomainError).
     """
-    s = np.sort(np.asarray(sample, dtype=float))
-    n = s.size
-    if n < 1:
-        raise DataError("sample must be nonempty")
+    s = np.asarray(sample, dtype=float)
+    if s.ndim != 1 or s.size < 1:
+        raise DataError(f"sample must be a nonempty 1-D array, got shape {s.shape}")
+    s, n = np.sort(s), s.size
     cdf = ref_cdf(ref, s)
     steps = np.arange(1, n + 1) / n
     return float(max((steps - cdf).max(), (cdf - steps + 1.0 / n).max()))
@@ -352,6 +348,8 @@ def table1(x_grid: Sequence[float] = DEFAULT_X_GRID) -> np.ndarray:
     TABLE1_COLUMNS; the CSV writer rounds to five decimals.
     """
     x = np.asarray(x_grid, dtype=float)
+    if x.ndim != 1:
+        raise ConfigurationError(f"x grid must be 1-D, got shape {x.shape}")
     nu = ref_upper(NORMAL, x)
     if not nu.all():
         raise DomainError(

@@ -4,10 +4,12 @@ import gc
 import json
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from multiprocessing import resource_tracker
 from pathlib import Path
 
@@ -307,6 +309,15 @@ class TestKSDistance:
             with pytest.raises(DomainError):
                 ks_distance([0.1, bad, -0.3], dist)
 
+    @pytest.mark.parametrize("sample", [
+        np.array([[0.3], [-1.2], [2.0], [0.1], [-0.4]]),  # once 0.977, not its distance 0.182
+        np.zeros((2, 3)),
+        np.array(0.3),
+    ], ids=["column", "2x3", "scalar"])
+    def test_a_sample_that_is_not_1d_is_a_data_error(self, sample):
+        with pytest.raises(DataError, match=re.escape(f"1-D array, got shape {sample.shape}")):
+            ks_distance(sample, NORMAL)
+
 
 class TestTable1:
     def test_shape_and_spot_rows(self):
@@ -330,6 +341,13 @@ class TestTable1:
     def test_vanishing_normal_tail_is_a_domain_error(self):
         with pytest.raises(DomainError, match="normal upper tail is 0"):
             table1((2.0, 40.0))
+
+    @pytest.mark.parametrize("grid", [[[1.6, 1.7]], [[1.6], [1.7]], 1.6], ids=["row", "column", "scalar"])
+    def test_a_grid_that_is_not_1d_is_a_configuration_error(self, grid):
+        shape = np.shape(grid)
+        for fn in (table1, table1_csv):
+            with pytest.raises(ConfigurationError, match=re.escape(f"x grid must be 1-D, got shape {shape}")):
+                fn(grid)
 
     def test_csv_rounding(self):
         lines = table1_csv().strip().splitlines()
@@ -524,6 +542,22 @@ class TestChunkSize:
             assert other.degenerate_count == table.degenerate_count
             assert np.array_equal(simulate_stats(cfg, workers=workers), values)
 
+    def test_one_worker_memory_does_not_grow_with_the_chunk_count(self, monkeypatch):
+        monkeypatch.setattr(mc, "_CHUNK_REPS", 1)
+        few, many = (_config(n=20, scheme=Interlace(5), reps=reps, x_grid=(1.0, 2.0)) for reps in (200, 2000))
+        estimate_tail(few)  # first-use allocations are not the run's
+
+        def peak(cfg):
+            tracemalloc.start()
+            try:
+                estimate_tail(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # holding every chunk's bounds or results would take hundreds of bytes per chunk
+        assert peak(many) < peak(few) + 50 * 1800
+
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
@@ -595,6 +629,29 @@ class TestWorkerPool:
         assert mc._pool is None and _live_children() == set()
         assert cli_main(argv) == 0
         assert json.loads(capsys.readouterr().out)["rows"]["x"] == list(DEFAULT_X_GRID)
+
+    @needs_fork
+    def test_an_error_surfaces_and_the_queued_chunks_never_run(self, monkeypatch, fresh_pool, tmp_path):
+        _allow_cpus(monkeypatch, 2)
+        monkeypatch.setattr(mc, "_CHUNK_REPS", 1)
+        ran = tmp_path / "ran"
+        real_chunk = mc._run_chunk
+
+        def logged_chunk(config, kernel, grid, bounds, collect):
+            with open(ran, "a") as fh:
+                fh.write(f"{bounds[0]}\n")
+            if bounds[0] == 0:
+                raise ArithmeticError("chunk 0 failed")
+            time.sleep(0.01)
+            return real_chunk(config, kernel, grid, bounds, collect)
+
+        # the pool is forked after this, so its workers run the logged chunk
+        monkeypatch.setattr(mc, "_run_chunk", logged_chunk)
+        with pytest.raises(ArithmeticError, match="chunk 0 failed"):
+            estimate_tail(_config(n=40, reps=200), workers=2)
+        mc._close_pool()  # waits for the chunks already running
+        chunks = ran.read_text().split()
+        assert "0" in chunks and len(chunks) < 50
 
     @pytest.mark.parametrize("end, exit_code", [
         ("", 0),
