@@ -24,7 +24,7 @@ and are stored as a Python int.
 
 Array inputs. `ref_upper` and `ref_cdf` also take an ndarray or list and
 return an ndarray of its shape (a non-finite entry raises
-`DomainError`); a scalar is evaluated as a one-element list. Each t
+`DomainError`); a scalar is evaluated as a 0-d array. Each t
 tail's z = df / (df + x^2), its z = 0 and z = 1 cases, front factor,
 branch, complement and sign are computed per element with `math`, not
 numpy, whose log, log1p and exp differ from the C library's in the last
@@ -79,19 +79,12 @@ def student_t(df: int) -> RefDist:
     return RefDist(df=df)
 
 
-def _require_finite(x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"argument must be finite, got {x!r}")
-    return x
-
-
-def _finite_array(x) -> np.ndarray:
-    """x as a float ndarray; its first non-finite entry raises with the scalar text."""
+def _finite(x) -> np.ndarray:
+    """x as a float ndarray (0-d for a scalar); its first non-finite entry raises DomainError."""
     x = np.asarray(x, dtype=float)
     bad = x[~np.isfinite(x)]
     if bad.size:
-        _require_finite(bad[0])
+        raise DomainError(f"argument must be finite, got {float(bad[0])!r}")
     return x
 
 
@@ -198,14 +191,19 @@ def _t_upper(xs: list[float], df: int) -> list[float]:
     return [u if x >= 0.0 else 1.0 - u for x, u in zip(xs, upper)]
 
 
-def _is_array(x) -> bool:
-    return isinstance(x, (np.ndarray, list, tuple))
-
-
 def _upper(dist: RefDist, xs: list[float]) -> list[float]:
     if dist.is_normal:
         return [0.5 * math.erfc(x / _SQRT2) for x in xs]
     return _t_upper(xs, dist.df)
+
+
+def _tail(dist: RefDist, x, sign: float):
+    """P(X >= sign * x); x is checked before the sign is applied, so an error shows x's own sign."""
+    xs = _finite(x)
+    upper = _upper(dist, (sign * xs).ravel().tolist())
+    if isinstance(x, (np.ndarray, list, tuple)):
+        return np.array(upper, dtype=float).reshape(xs.shape)
+    return upper[0]
 
 
 def ref_cdf(dist: RefDist, x):
@@ -213,9 +211,7 @@ def ref_cdf(dist: RefDist, x):
 
     A scalar x gives a float; an array (or list) gives an ndarray of its shape.
     """
-    if _is_array(x):
-        return ref_upper(dist, -_finite_array(x))  # checked before negating, so the error shows x's own sign
-    return ref_upper(dist, -_require_finite(x))
+    return _tail(dist, x, -1.0)
 
 
 def ref_upper(dist: RefDist, x):
@@ -224,11 +220,7 @@ def ref_upper(dist: RefDist, x):
     A scalar x gives a float; an array (or list) gives an ndarray of its
     shape, bit-identical to scalar calls made per element.
     """
-    if not _is_array(x):
-        return _upper(dist, [_require_finite(x)])[0]
-    x = _finite_array(x)
-    upper = _upper(dist, x.ravel().tolist())
-    return np.array(upper, dtype=float).reshape(x.shape)
+    return _tail(dist, x, 1.0)
 
 
 def normal_cdf(x):

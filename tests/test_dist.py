@@ -266,9 +266,10 @@ class TestArrayPath:
         empty = ref_upper(d, np.array([]))
         assert isinstance(empty, np.ndarray) and empty.shape == (0,) and empty.dtype == float
         assert ref_cdf(d, []).shape == (0,)
-        zero_d = ref_upper(d, np.array(1.5))
-        assert isinstance(zero_d, np.ndarray) and zero_d.shape == ()
-        assert zero_d == ref_upper(d, 1.5)
+        for front in (ref_upper, ref_cdf):
+            zero_d = front(d, np.array(1.5))
+            assert isinstance(zero_d, np.ndarray) and zero_d.shape == ()
+            assert zero_d == front(d, 1.5)
         listed = ref_cdf(d, [-1.0, 0.0, 2.5])
         assert isinstance(listed, np.ndarray)
         assert listed.tolist() == [ref_cdf(d, -1.0), ref_cdf(d, 0.0), ref_cdf(d, 2.5)]
@@ -334,6 +335,11 @@ class TestFrontDoor:
             for front in (ref_upper, ref_cdf):
                 for x in (bad, [0.0, bad], np.array([0.0, bad]), np.array([[bad]])):
                     assert _error_text(front, d, x) == expected
+
+    def test_none_raises_like_a_list_of_none(self):
+        for d in (NORMAL, student_t(9)):
+            for front in (ref_upper, ref_cdf):
+                assert _error_text(front, d, None) == _error_text(front, d, [None]) == "argument must be finite, got nan"
 
     @pytest.mark.parametrize("df", [0, -3, 2.5, True])
     def test_bad_df_raises_the_refdist_text(self, df):
