@@ -289,7 +289,7 @@ def _cmd_test(args: argparse.Namespace, argv: list[str]) -> int:
     mu0 = _read_mu0(args.mu0, panel.shape[1])
     result = mean_test(panel, mu0, alpha=args.alpha, m=args.m, use_t=args.use_t)
 
-    config = {"input": args.input, "mu0": args.mu0, "alpha": args.alpha, "use_t": args.use_t}
+    config = {"input": args.input, "mu0": args.mu0, "alpha": args.alpha, "m": result.m, "use_t": args.use_t}
     payload = {"manifest": _manifest(argv, config, None, started), "test": result.as_dict()}
     _emit_json(args.output, payload)
     # the decision is payload, not exit status

@@ -85,6 +85,7 @@ class TestResult:
     violating_coordinates: tuple[int, ...]
     alpha: float
     mu0: np.ndarray
+    m: int  # the block length of the intervals
 
     def as_dict(self) -> dict:
         return {
@@ -92,6 +93,7 @@ class TestResult:
             "violating_coordinates": list(self.violating_coordinates),
             "alpha": self.alpha,
             "mu0": self.mu0.tolist(),
+            "m": self.m,
         }
 
 
@@ -156,6 +158,7 @@ def mean_test(panel, mu0, alpha: float, m: int | None = None, use_t: bool = True
         violating_coordinates=violating,
         alpha=alpha,
         mu0=mu,
+        m=ci.m,
     )
 
 

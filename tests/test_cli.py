@@ -391,6 +391,18 @@ class TestCiAndTestCommands:
         assert payload["reject"] is True
         assert 0 in payload["violating_coordinates"]
 
+    @pytest.mark.parametrize("m", ["auto", "8"])
+    def test_test_records_the_block_length_ci_resolves(self, capsys, panel_csv, tmp_path, m):
+        mu0 = tmp_path / "mu0.csv"
+        mu0.write_text("0,0,0\n")
+        _, out, _ = _run(capsys, "ci", str(panel_csv), "--m", m)
+        expected = json.loads(out)["manifest"]["config"]["m"]
+        assert expected == (4 if m == "auto" else 8)  # round(160 ** 0.25): the panel has 160 rows
+        code, out, _ = _run(capsys, "test", str(panel_csv), "--mu0", str(mu0), "--m", m)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["manifest"]["config"]["m"] == payload["test"]["m"] == expected
+
     def test_test_non_finite_mu0_is_a_data_error(self, capsys, panel_csv, tmp_path):
         mu0 = tmp_path / "mu0.csv"
         mu0.write_text("0,nan,inf\n")
