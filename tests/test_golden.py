@@ -208,7 +208,7 @@ GOLDEN = {
     "cli-grid-json": "3143517fc2a51d7cebb7ca8485fa5ab297c949d44f1e5da64d38f843b23ea887",
     "cli-simulate-json": "463437183a68d6a5331848aa0abbfced3d49e0c39e3b6128f04296942c25cb0e",
     "cli-table1-csv": "9ef71a7aae294a414a5f41644cf7138f250472ee0772158436cc49a70486dece",
-    "cli-test-json": "9bb22a8589a9ed16d7dfd1ef5f91b1c25d4c27d4ee93ec3ef113beefe6074789",
+    "cli-test-json": "db729958ed4e7e2bab1a04079f5c4e33520c83ebe700ec47a31c0c8779b34b54",
     "ks": "1fec075be4a909a4bf6483b10ec388de8338332e07bea9165752a177e0f6618c",
     "ref_cdf": "3aab0e3c24c86e9670c0c0d0f9de785ac763be8bf9597fc108ab80fa8789a096",
     "ref_upper": "b20e057f912756a8543e78a5dcc73b5d81aeae7a621ccfc972ee3854c24c7482",
