@@ -555,7 +555,7 @@ class TestChunkSize:
             finally:
                 tracemalloc.stop()
 
-        # holding every chunk's bounds or results would take hundreds of bytes per chunk
+        # 50 bytes for each of the 1,800 extra chunks; holding every chunk's bounds or results takes hundreds
         assert peak(many) < peak(few) + 50 * 1800
 
 
