@@ -152,7 +152,7 @@ def _run_chunk(
     collect: bool,
 ) -> tuple[np.ndarray, int, np.ndarray | None]:
     lo, hi = bounds
-    seeds = [derive_rep_seed(config.master_seed, r) for r in range(lo, hi)]
+    seeds = derive_rep_seed(config.master_seed, range(lo, hi))
     paths = generate_paths(config.process, config.n, seeds)
     values, degenerate = kernel.values(paths)
     good = values[~degenerate]

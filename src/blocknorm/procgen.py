@@ -21,6 +21,11 @@ largely the same *set* of derived seeds, merely reordered, so
 independent runs would share their Monte Carlo noise).
 Reference values from the stream at s = 0: derive_rep_seed(0, 0) =
 0xE220A8397B1DCDAF, derive_rep_seed(0, 1) = 0x6E789E6AA1B965F4.
+Given a range of replication indices, derive_rep_seed(s, range(lo, hi))
+returns the list [derive_rep_seed(s, r) for r in range(lo, hi)], bit for
+bit, from one pass of the same steps over uint64 arrays (which wrap
+mod 2**64 as the scalar form's masks do); a Monte Carlo chunk derives
+its seeds in one such call. The scalar form stays the specification.
 
 Draw protocol per path (fixed; changing it would change all outputs):
 
@@ -64,6 +69,12 @@ Seed = int
 
 _MASK64 = (1 << 64) - 1
 
+# splitmix64's stride, shifts and multipliers as numpy uint64: with a Python-int
+# operand, numpy 1.24 can promote a uint64 array to float64
+_SPLITMIX64_U64 = tuple(
+    np.uint64(c) for c in (0x9E3779B97F4A7C15, 30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31)
+)
+
 RNG_ALGORITHM = "philox4x64(key=splitmix64-stream(master)[rep])+numpy-ziggurat-normal"
 
 ARCH_BURN_IN = 1000
@@ -90,11 +101,31 @@ def as_seed(value, what: str = "seed") -> Seed:
     return seed
 
 
-def derive_rep_seed(master: Seed, rep_index: int) -> Seed:
-    """Per-replication seed: output rep_index of the SplitMix64 stream at master."""
+def derive_rep_seed(master: Seed, rep_index: int | range) -> Seed | list[Seed]:
+    """Per-replication seed: output rep_index of the SplitMix64 stream at master.
+
+    A range of indices gives the list [derive_rep_seed(master, r) for r in
+    rep_index], bit for bit, computed in one uint64 numpy pass; a chunk
+    derives its seeds in one call. Its smallest index must be >= 0.
+    """
     master = as_seed(master, "master seed")
+    if isinstance(rep_index, range):
+        return _rep_seeds(master, rep_index)
     rep_index = as_index(rep_index, "replication index", ConfigurationError, lo=0)
     return splitmix64((master + rep_index * 0x9E3779B97F4A7C15) & _MASK64)
+
+
+def _rep_seeds(master: Seed, reps: range) -> list[Seed]:
+    """splitmix64 of master + r * stride, mod 2^64, for each r in reps, in uint64 arrays."""
+    if reps:
+        as_index(min(reps[0], reps[-1]), "replication index", ConfigurationError, lo=0)
+    gamma, s30, m1, s27, m2, s31 = _SPLITMIX64_U64
+    with np.errstate(over="ignore"):  # uint64 arithmetic wraps mod 2^64, as the masks do
+        r = np.arange(len(reps), dtype=np.uint64) * np.uint64(reps.step & _MASK64)
+        z = np.uint64(master) + (r + np.uint64(reps.start & _MASK64)) * gamma + gamma
+        z = (z ^ (z >> s30)) * m1
+        z = (z ^ (z >> s27)) * m2
+        return (z ^ (z >> s31)).tolist()
 
 
 def generator(seed: Seed) -> np.random.Generator:

@@ -166,6 +166,22 @@ class TestDeterminismAndWorkers:
         v8 = simulate_stats(cfg, workers=8)
         assert np.array_equal(v1, v8)
 
+    def test_each_chunk_derives_its_seeds_in_one_call(self, monkeypatch):
+        calls = []
+        real = mc.derive_rep_seed
+
+        def counting(master, reps):
+            calls.append(reps)
+            return real(master, reps)
+
+        monkeypatch.setattr(mc, "derive_rep_seed", counting)
+        cfg = _config(reps=2 * mc._CHUNK_REPS + 1)
+        values = simulate_stats(cfg)
+        chunks = [(0, mc._CHUNK_REPS), (mc._CHUNK_REPS, 2 * mc._CHUNK_REPS), (2 * mc._CHUNK_REPS, cfg.reps)]
+        assert calls == [range(lo, hi) for lo, hi in chunks]
+        monkeypatch.setattr(mc, "derive_rep_seed", real)
+        assert np.array_equal(values, simulate_stats(cfg))
+
     def test_monotone_tail(self):
         table = estimate_tail(_config(reps=5000, x_grid=tuple(np.linspace(0, 3, 13))))
         assert np.all(np.diff(table.mc_tail) <= 0.0)

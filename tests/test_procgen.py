@@ -79,6 +79,30 @@ class TestSeedDerivation:
         with pytest.raises(ConfigurationError):
             derive_rep_seed(1, -1)
 
+    @pytest.mark.parametrize("master", [0, 1, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("reps", [
+        range(0, 1024),  # r * stride passes 2^64 from r = 2 on
+        range(2**63 - 3, 2**63 + 3),
+        range(2**64 - 3, 2**64 + 3),  # r itself passes 2^64
+        range(5, 40, 3),
+        range(30, 2, -7),
+        range(7, 7),
+    ], ids=["chunk", "near-2^63", "r-wraps", "step-3", "step-minus-7", "empty"])
+    def test_a_range_gives_the_scalar_seeds(self, master, reps):
+        seeds = derive_rep_seed(master, reps)
+        assert seeds == [derive_rep_seed(master, r) for r in reps]
+        assert all(type(seed) is int for seed in seeds)
+
+    @pytest.mark.parametrize("reps", [range(-1, 5), range(3, -2, -1)], ids=["start", "descending"])
+    def test_a_range_with_a_negative_index_is_rejected(self, reps):
+        with pytest.raises(ConfigurationError, match="replication index must be >= 0, got -1"):
+            derive_rep_seed(1, reps)
+
+    def test_a_range_checks_the_master(self):
+        for master in (-1, 2**64, 1.0):
+            with pytest.raises(ConfigurationError, match="master seed must be"):
+                derive_rep_seed(master, range(3))
+
 
 class TestDeterminism:
     def test_same_seed_same_output(self):
