@@ -13,8 +13,10 @@ platform offers fork). The pool lives for the Python process: later runs
 with the same p reuse it, a run with another p replaces it, and it is
 shut down at exit. Either way one loop folds in each chunk's results in
 chunk order as they arrive, so a one-worker run holds one chunk at a
-time. A pool run still submits every chunk when it starts (and drops
-those still queued after an error or an interrupt).
+time. A pool run keeps at most 2p chunks in flight, submitting the next
+as each result is taken, so its memory does not grow with the
+replication count either; an error or an interrupt drops the chunks
+still queued.
 Workers ignore SIGINT, so Ctrl-C interrupts only the caller, and exit
 within a second of their caller if it is killed. A worker
 that dies (for example at the hands of the out-of-memory killer) ends
@@ -34,6 +36,7 @@ overflow: with m the block length and k the block-sum count,
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 import math
@@ -234,20 +237,37 @@ def _worker_pool(size: int):
     return executor
 
 
-def _pool_results(size: int, tasks: tuple) -> Iterator:
-    """The chunks' results in chunk order, computed by the pool of `size` workers."""
+def _pool_results(size: int, tasks: Iterator[tuple]) -> Iterator:
+    """The chunks' results in chunk order, computed by the pool of `size` workers.
+
+    At most 2 * size chunks are in flight: the next is submitted as each result is taken.
+    """
     from concurrent.futures.process import BrokenProcessPool
 
+    executor = None
+
+    def submit(args: tuple):
+        nonlocal executor
+        with _pool_lock:  # make the pool, and make it again if another thread's run replaced it
+            if _pool is None or _pool[1] is not executor:
+                executor = _worker_pool(size)
+            return executor.submit(_chunk_task, *args)
+
+    window = collections.deque()
     try:
-        with _pool_lock:  # no other thread may replace the pool between making and using it
-            results = _worker_pool(size).map(_chunk_task, *tasks)
-        yield from results
+        window.extend(map(submit, itertools.islice(tasks, 2 * size)))
+        while window:
+            yield window.popleft().result()
+            window.extend(map(submit, itertools.islice(tasks, 1)))
     except BrokenProcessPool:
         _close_pool()
         raise ConfigurationError(
             f"a worker process died (workers = {size}); if it ran out of memory, "
             f"use fewer workers: each holds one chunk of {_CHUNK_REPS} paths"
         ) from None
+    finally:  # an error or an interrupt drops the chunks still queued
+        for future in window:
+            future.cancel()
 
 
 def _cpu_count() -> int:
@@ -260,8 +280,8 @@ def _cpu_count() -> int:
 def _run(config: SimConfig, workers: int, collect: bool):
     workers = as_index(workers, "workers", ConfigurationError, lo=1)
     size = min(workers, -(-config.reps // _CHUNK_REPS), _cpu_count())  # one per chunk and per CPU at most
-    tasks = (itertools.repeat(config), _chunk_bounds(config.reps), itertools.repeat(collect))
-    results = map(_chunk_task, *tasks) if size == 1 else _pool_results(size, tasks)
+    tasks = zip(itertools.repeat(config), _chunk_bounds(config.reps), itertools.repeat(collect))
+    results = itertools.starmap(_chunk_task, tasks) if size == 1 else _pool_results(size, tasks)
     counts, degenerate, values = 0, 0, []
     for chunk_counts, chunk_degenerate, chunk_values in results:
         counts = counts + chunk_counts

@@ -8,6 +8,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from multiprocessing import resource_tracker
@@ -668,6 +669,59 @@ class TestWorkerPool:
         mc._close_pool()  # waits for the chunks already running
         chunks = ran.read_text().split()
         assert "0" in chunks and len(chunks) < 50
+
+    @needs_fork
+    def test_at_most_two_chunks_per_worker_are_in_flight(self, monkeypatch, fresh_pool):
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        _allow_cpus(monkeypatch, 2)
+        submitted = []
+        real_submit, real_chunk = ProcessPoolExecutor.submit, mc._run_chunk
+
+        def spying_submit(executor, fn, *args):
+            submitted.append(args)
+            if len(submitted) > 100:  # a pool that takes every chunk up front stops here
+                raise RuntimeError(f"{len(submitted)} chunks submitted before the first result")
+            return real_submit(executor, fn, *args)
+
+        def first_chunk_fails(config, kernel, grid, bounds, collect):
+            if bounds[0] == 0:
+                raise ArithmeticError("chunk 0 failed")
+            return real_chunk(config, kernel, grid, bounds, collect)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", spying_submit)
+        # the pool is forked after this, so its workers run the failing chunk
+        monkeypatch.setattr(mc, "_run_chunk", first_chunk_fails)
+        # about 10^9 chunks; the first result, an error, ends the run
+        with pytest.raises(ArithmeticError, match="chunk 0 failed"):
+            estimate_tail(_config(n=40, reps=10**12), workers=2)
+        size = mc._CHUNK_REPS
+        assert [args[1] for args in submitted] == [(lo, lo + size) for lo in range(0, 4 * size, size)]
+
+    @needs_fork
+    def test_runs_on_threads_with_other_worker_counts_match_one_worker(self, monkeypatch, fresh_pool):
+        # each run replaces the other's pool between its submissions
+        _allow_cpus(monkeypatch, 3)
+        monkeypatch.setattr(mc, "_CHUNK_REPS", 64)
+        cfg = _config(n=40, reps=64 * 12)
+        expected = simulate_stats(cfg, workers=1)
+        results, errors = {2: [], 3: []}, []
+
+        def run(workers):
+            try:
+                for _ in range(4):
+                    results[workers].append(simulate_stats(cfg, workers=workers))
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(workers,)) for workers in results]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads) and errors == []
+        for runs in results.values():
+            assert len(runs) == 4 and all(np.array_equal(values, expected) for values in runs)
 
     @pytest.mark.parametrize("end, exit_code", [
         ("", 0),
