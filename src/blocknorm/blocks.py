@@ -28,7 +28,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, as_index
+from .errors import ConfigurationError, DataError, as_index, as_real_array
 
 Layout = tuple[int, tuple[tuple[str, int, int], ...]]  # (period, windows)
 
@@ -176,13 +176,7 @@ def batch_partition(n: int, m: int) -> BlockPartition:
 
 def finite_array(data, ndim: int, name: str) -> np.ndarray:
     """data as a nonempty float array of ndim axes with finite real values, else DataError."""
-    try:
-        x = np.asarray(data)
-        if np.iscomplexobj(x):
-            raise TypeError("got complex values")
-        x = x.astype(float, copy=False)
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{name} must be a rectangular array of real numbers: {exc}") from None
+    x = as_real_array(data, name, DataError)
     if x.ndim != ndim:
         raise DataError(f"{name} must be {ndim}-D, got shape {x.shape}")
     if x.size < 1:

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, as_index
+from .errors import DomainError, as_index, as_real_array
 
 _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -80,8 +80,8 @@ def student_t(df: int) -> RefDist:
 
 
 def _finite(x) -> np.ndarray:
-    """x as a float ndarray (0-d for a scalar); its first non-finite entry raises DomainError."""
-    x = np.asarray(x, dtype=float)
+    """x as a float ndarray (0-d for a scalar); non-real input or its first non-finite entry raises DomainError."""
+    x = as_real_array(x, "argument", DomainError)
     bad = x[~np.isfinite(x)]
     if bad.size:
         raise DomainError(f"argument must be finite, got {float(bad[0])!r}")
@@ -264,8 +264,11 @@ def ref_quantile(dist: RefDist, p: float) -> float:
     and raises DomainError. Results are memoized per (dist, p); a bad p
     raises on every call.
     """
-    p = float(p)
-    if not (0.0 < p < 1.0) or not math.isfinite(p):
+    try:
+        p = float(p)
+    except (TypeError, ValueError):
+        pass  # the message below names p as given
+    if not (isinstance(p, float) and 0.0 < p < 1.0):
         raise DomainError(f"probability must lie strictly in (0, 1), got {p!r}")
     return _invert(dist, p)
 

@@ -1,9 +1,13 @@
-"""Exception hierarchy shared across the package, and `as_index`, the one check of integer inputs.
+"""Exception hierarchy shared across the package, `as_index`, the one check of integer inputs,
+and `as_real_array`, the one conversion of real-valued array inputs.
 
-Its two messages: "<what> must be an integer, got <value>" and "<what> must be >= <lo>, got <value>".
+as_index's two messages: "<what> must be an integer, got <value>" and "<what> must be >= <lo>, got <value>".
+as_real_array's one: "<what> must be a rectangular array of real numbers: <numpy's reason>".
 """
 
 import operator
+
+import numpy as np
 
 
 class BlocknormError(Exception):
@@ -51,3 +55,14 @@ def as_index(value, what: str, error: type[BlocknormError], lo: int | None = Non
                 return index
             raise error(f"{what} must be >= {lo}, got {index}")
     raise error(f"{what} must be an integer, got {value!r}")
+
+
+def as_real_array(data, what: str, error: type[BlocknormError]) -> np.ndarray:
+    """data as a float ndarray (0-d for a scalar); non-numeric, ragged or complex data raises error naming what."""
+    try:
+        x = np.asarray(data)
+        if np.iscomplexobj(x):
+            raise TypeError("got complex values")
+        return x.astype(float, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{what} must be a rectangular array of real numbers: {exc}") from None

@@ -50,7 +50,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .dist import NORMAL, RefDist, ref_cdf, ref_upper, student_t
-from .errors import ConfigurationError, DataError, DegenerateRateError, DomainError, as_index
+from .errors import ConfigurationError, DataError, DegenerateRateError, DomainError, as_index, as_real_array
 from .procgen import RNG_ALGORITHM, ProcessSpec, Seed, as_seed, derive_rep_seed, generate_paths
 from .stats import KINDS, StatKernel, make_kernel
 from .blocks import BlockScheme
@@ -350,9 +350,9 @@ def ks_distance(sample, ref: RefDist) -> float:
     """Sup distance between the empirical CDF of the sample and ref's CDF.
 
     ref's CDF is evaluated in one array call over the sorted sample, a nonempty
-    1-D array (else DataError) of finite values (else DomainError).
+    1-D array of real numbers (else DataError) of finite values (else DomainError).
     """
-    s = np.asarray(sample, dtype=float)
+    s = as_real_array(sample, "sample", DataError)
     if s.ndim != 1 or s.size < 1:
         raise DataError(f"sample must be a nonempty 1-D array, got shape {s.shape}")
     s, n = np.sort(s), s.size
@@ -367,7 +367,7 @@ def table1(x_grid: Sequence[float] = DEFAULT_X_GRID) -> np.ndarray:
     Returns a (len(x_grid), 5) array in full precision with columns
     TABLE1_COLUMNS; the CSV writer rounds to five decimals.
     """
-    x = np.asarray(x_grid, dtype=float)
+    x = as_real_array(x_grid, "x grid", ConfigurationError)
     if x.ndim != 1:
         raise ConfigurationError(f"x grid must be 1-D, got shape {x.shape}")
     nu = ref_upper(NORMAL, x)

@@ -10,6 +10,7 @@ and the four named accessors against ref_upper and ref_cdf.
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -206,6 +207,11 @@ class TestDomainErrors:
             with pytest.raises(DomainError):
                 ref_quantile(NORMAL, p)
 
+    @pytest.mark.parametrize("p", ["abc", 0.5j, [0.5], None], ids=["string", "complex", "list", "none"])
+    def test_a_probability_that_is_not_a_real_number_is_a_domain_error(self, p):
+        with pytest.raises(DomainError, match=re.escape(f"probability must lie strictly in (0, 1), got {p!r}")):
+            ref_quantile(NORMAL, p)
+
     def test_quantile_median_and_monotone(self):
         assert ref_quantile(NORMAL, 0.5) == 0.0
         qs = [ref_quantile(student_t(9), p) for p in (0.05, 0.3, 0.5, 0.8, 0.99)]
@@ -340,6 +346,20 @@ class TestFrontDoor:
         for d in (NORMAL, student_t(9)):
             for front in (ref_upper, ref_cdf):
                 assert _error_text(front, d, None) == _error_text(front, d, [None]) == "argument must be finite, got nan"
+
+    @pytest.mark.parametrize("bad, reason", [
+        ("abc", "could not convert string to float"),
+        (["1.0", "x"], "could not convert string to float"),
+        ([[1.0], [1.0, 2.0]], "inhomogeneous"),
+        (1 + 1j, "got complex values"),
+        (np.array([0.5, 1 + 1j]), "got complex values"),  # once cast to 0.5, 1.0 with a warning
+    ], ids=["string", "string-in-list", "ragged", "complex", "complex-array"])
+    def test_non_real_x_is_a_domain_error_naming_the_argument(self, bad, reason):
+        for d in (NORMAL, student_t(9)):
+            upper, cdf = _accessors(d)
+            for fn in (upper, cdf, lambda x: ref_upper(d, x), lambda x: ref_cdf(d, x)):
+                text = _error_text(fn, bad)
+                assert text.startswith("argument must be a rectangular array of real numbers: ") and reason in text
 
     @pytest.mark.parametrize("df", [0, -3, 2.5, True])
     def test_bad_df_raises_the_refdist_text(self, df):

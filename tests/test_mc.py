@@ -336,6 +336,16 @@ class TestKSDistance:
             ks_distance(sample, NORMAL)
 
 
+    @pytest.mark.parametrize("sample, reason", [
+        (["a", "b"], "could not convert string to float"),
+        ([[0.1], [0.2, 0.3]], "inhomogeneous"),
+        ([1 + 2j, 0.5], "got complex values"),
+    ], ids=["string", "ragged", "complex"])
+    def test_a_sample_of_non_real_values_is_a_data_error(self, sample, reason):
+        with pytest.raises(DataError, match=f"^sample must be a rectangular array of real numbers: .*{reason}"):
+            ks_distance(sample, NORMAL)
+
+
 class TestTable1:
     def test_shape_and_spot_rows(self):
         t = table1()
@@ -364,6 +374,15 @@ class TestTable1:
         shape = np.shape(grid)
         for fn in (table1, table1_csv):
             with pytest.raises(ConfigurationError, match=re.escape(f"x grid must be 1-D, got shape {shape}")):
+                fn(grid)
+
+    @pytest.mark.parametrize("grid, reason", [
+        (["x"], "could not convert string to float"),
+        ([1.6, 2 + 1j], "got complex values"),
+    ], ids=["string", "complex"])
+    def test_a_grid_of_non_real_values_is_a_configuration_error(self, grid, reason):
+        for fn in (table1, table1_csv):
+            with pytest.raises(ConfigurationError, match=f"^x grid must be a rectangular array of real numbers: .*{reason}"):
                 fn(grid)
 
     def test_csv_rounding(self):
