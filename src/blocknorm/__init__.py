@@ -11,6 +11,8 @@ The package bundles:
 * a command-line front end (``blocknorm``; see ``cli``).
 """
 
+import types as _types
+
 from .blocks import (
     Batch,
     BigSmall,
@@ -83,66 +85,9 @@ from .stats import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AR1",
-    "ARCH1",
-    "Batch",
-    "BigSmall",
-    "Block",
-    "BlockPartition",
-    "BlockSums",
-    "BlocknormError",
-    "CiSet",
-    "ConfigurationError",
-    "DEFAULT_REPS",
-    "DEFAULT_X_GRID",
-    "DataError",
-    "DegenerateDenominatorError",
-    "DegenerateRateError",
-    "DomainError",
-    "HDLinear",
-    "IIDNormal",
-    "Interlace",
-    "NORMAL",
-    "RatioGrid",
-    "RefDist",
-    "SimConfig",
-    "StatValue",
-    "TailTable",
-    "TestResult",
-    "TwoSampleData",
-    "batch_partition",
-    "bbsb_partition",
-    "block_sums",
-    "derive_rep_seed",
-    "estimate_tail",
-    "exponents_to_sizes",
-    "gen_ar1",
-    "gen_arch1",
-    "gen_hd_linear",
-    "gen_iid_normal",
-    "i_n",
-    "i_n_star",
-    "interlace_partition",
-    "ks_distance",
-    "mean_test",
-    "normal_cdf",
-    "normal_upper",
-    "ratio_grid",
-    "read_panel_csv",
-    "ref_cdf",
-    "ref_quantile",
-    "ref_upper",
-    "simulate_stats",
-    "simultaneous_ci",
-    "splitmix64",
-    "student_t",
-    "t_cdf",
-    "t_n_star",
-    "t_upper",
-    "table1",
-    "table1_csv",
-    "two_sample_w",
-    "w_n",
-    "w_n_star",
-]
+# binding a public name in this file is what exports it: __all__ is every name
+# bound above without a leading underscore that is not a submodule
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

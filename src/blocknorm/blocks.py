@@ -28,7 +28,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, as_index, as_real_array
+from .errors import ConfigurationError, DataError, as_index, as_real, as_real_array
 
 Layout = tuple[int, tuple[tuple[str, int, int], ...]]  # (period, windows)
 
@@ -131,6 +131,8 @@ class BlockSums:
 def exponents_to_sizes(n: int, alpha1: float, alpha2: float) -> tuple[int, int]:
     """Block sizes m1 = floor(n**alpha1), m2 = floor(n**alpha2)."""
     n = as_index(n, "sample length n", ConfigurationError, lo=1)
+    alpha1 = as_real(alpha1, "alpha1", ConfigurationError)
+    alpha2 = as_real(alpha2, "alpha2", ConfigurationError)
     if not (0.0 < alpha2 <= alpha1 < 1.0):
         raise ConfigurationError(
             f"exponents must satisfy 0 < alpha2 <= alpha1 < 1, got ({alpha1}, {alpha2})"

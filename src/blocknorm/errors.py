@@ -1,8 +1,10 @@
 """Exception hierarchy shared across the package, `as_index`, the one check of integer inputs,
-and `as_real_array`, the one conversion of real-valued array inputs.
+and `as_real_array`, the one conversion of real-valued inputs, which `as_real` narrows to one number.
 
 as_index's two messages: "<what> must be an integer, got <value>" and "<what> must be >= <lo>, got <value>".
-as_real_array's one: "<what> must be a rectangular array of real numbers: <numpy's reason>".
+as_real_array's one: "<what> must be a rectangular array of real numbers: <numpy's reason>"; so a string,
+a complex number or a ragged list is rejected wherever a real number, grid or sample enters.
+as_real adds "<what> must be a real number, got shape <shape>" for an array.
 """
 
 import operator
@@ -66,3 +68,11 @@ def as_real_array(data, what: str, error: type[BlocknormError]) -> np.ndarray:
         return x.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise error(f"{what} must be a rectangular array of real numbers: {exc}") from None
+
+
+def as_real(value, what: str, error: type[BlocknormError]) -> float:
+    """value as a Python float (numpy scalars and 0-d arrays too); anything else raises error naming what."""
+    x = as_real_array(value, what, error)
+    if x.ndim:
+        raise error(f"{what} must be a real number, got shape {x.shape}")
+    return float(x)

@@ -40,7 +40,7 @@ import numpy as np
 
 from .blocks import Interlace, finite_array, interlace_sums_matrix, periods, scale_exponent
 from .dist import NORMAL, RefDist, ref_quantile, student_t
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError, DataError, as_real, as_real_array
 
 
 @dataclass(frozen=True)
@@ -106,6 +106,7 @@ def simultaneous_ci(panel, alpha: float, m: int | None = None, use_t: bool = Tru
     """Level 1 - alpha simultaneous confidence intervals for the mean vector."""
     z = finite_array(panel, 2, "panel")
     n, p = z.shape
+    alpha = as_real(alpha, "alpha", ConfigurationError)
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
     scheme = Interlace(default_block_length(n) if m is None else m)
@@ -143,7 +144,7 @@ def mean_test(panel, mu0, alpha: float, m: int | None = None, use_t: bool = True
     Checks run in order: the panel, then alpha or m, then mu0.
     """
     ci = simultaneous_ci(panel, alpha=alpha, m=m, use_t=use_t)
-    mu = np.asarray(mu0, dtype=float)
+    mu = as_real_array(mu0, "mu0", DataError)
     if mu.ndim != 1 or mu.size != ci.p:
         raise DataError(
             f"mu0 has shape {mu.shape} but the panel has {ci.p} coordinates"

@@ -50,7 +50,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .dist import NORMAL, RefDist, ref_cdf, ref_upper, student_t
-from .errors import ConfigurationError, DataError, DegenerateRateError, DomainError, as_index, as_real_array
+from .errors import ConfigurationError, DataError, DegenerateRateError, DomainError, as_index, as_real, as_real_array
 from .procgen import RNG_ALGORITHM, ProcessSpec, Seed, as_seed, derive_rep_seed, generate_paths
 from .stats import KINDS, StatKernel, make_kernel
 from .blocks import BlockScheme
@@ -79,17 +79,16 @@ class SimConfig:
     kernel: StatKernel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x_grid", tuple(float(x) for x in self.x_grid))
+        grid = _real_grid(self.x_grid, "x_grid")
+        object.__setattr__(self, "x_grid", tuple(grid.tolist()))
         object.__setattr__(self, "n", as_index(self.n, "path length n", ConfigurationError))
         object.__setattr__(self, "reps", as_index(self.reps, "reps", ConfigurationError, lo=1))
         object.__setattr__(self, "master_seed", as_seed(self.master_seed, "master seed"))
+        object.__setattr__(self, "mu0", as_real(self.mu0, "mu0", ConfigurationError))
         if not hasattr(self.process, "paths"):
             raise ConfigurationError(f"process {self.process!r} does not generate scalar paths")
         if not math.isfinite(self.mu0):
             raise ConfigurationError(f"mu0 must be finite, got {self.mu0}")
-        if len(self.x_grid) < 1:
-            raise ConfigurationError("x_grid must be nonempty")
-        grid = np.asarray(self.x_grid, dtype=float)
         if grid.size > 1 and not np.all(np.diff(grid) > 0):
             raise ConfigurationError("x_grid must be strictly increasing")
         # fail fast on mismatches and on an unrepresentable mu0, and keep the kernel for the run
@@ -141,6 +140,16 @@ class RatioGrid:
     def ratios(self) -> np.ndarray:
         """Matrix of ratios, rows indexed by x, columns by parameter value."""
         return np.column_stack([t.ratio for t in self.tables])
+
+
+def _real_grid(values, what: str) -> np.ndarray:
+    """values as a nonempty 1-D float array; anything else raises a ConfigurationError naming what."""
+    grid = as_real_array(values, what, ConfigurationError)
+    if grid.ndim != 1:
+        raise ConfigurationError(f"{what} must be 1-D, got shape {grid.shape}")
+    if grid.size < 1:
+        raise ConfigurationError(f"{what} must be nonempty")
+    return grid
 
 
 def _chunk_bounds(reps: int) -> Iterator[tuple[int, int]]:
@@ -332,8 +341,7 @@ def estimate_tail(config: SimConfig, workers: int = 1) -> TailTable:
 
 def ratio_grid(config: SimConfig, params: Sequence[float], workers: int = 1) -> RatioGrid:
     """One tail table per parameter value, assembled column-wise."""
-    if len(params) < 1:
-        raise ConfigurationError("parameter grid must be nonempty")
+    params = _real_grid(params, "parameter grid").tolist()
     name = getattr(config.process, "param", None)
     if name is None:
         raise ConfigurationError("parameter grids exist for AR(1) (over rho) and ARCH(1) (over b)")
@@ -343,7 +351,7 @@ def ratio_grid(config: SimConfig, params: Sequence[float], workers: int = 1) -> 
         for value in params
     ]
     tables = tuple(estimate_tail(cell, workers=workers) for cell in cells)
-    return RatioGrid(param_name=name, param_values=tuple(float(v) for v in params), tables=tables)
+    return RatioGrid(param_name=name, param_values=tuple(params), tables=tables)
 
 
 def ks_distance(sample, ref: RefDist) -> float:

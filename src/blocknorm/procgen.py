@@ -63,7 +63,7 @@ from typing import ClassVar, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, as_index
+from .errors import ConfigurationError, as_index, as_real
 
 Seed = int
 
@@ -181,6 +181,7 @@ class AR1:
     rho: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "rho", as_real(self.rho, "rho", ConfigurationError))
         if not abs(self.rho) < 1.0:
             raise ConfigurationError(f"AR(1) needs |rho| < 1, got rho={self.rho}")
 
@@ -215,6 +216,8 @@ class ARCH1:
     a: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("a", "b"):
+            object.__setattr__(self, name, as_real(getattr(self, name), name, ConfigurationError))
         if not 0.0 < self.a < math.inf:
             raise ConfigurationError(f"ARCH(1) needs a finite a > 0, got a={self.a}")
         if not 2.0**-511 <= self.a < 2.0**500:
@@ -258,6 +261,7 @@ class HDLinear:
     def __post_init__(self) -> None:
         for name in ("p", "lag_cap"):
             object.__setattr__(self, name, as_index(getattr(self, name), name, ConfigurationError, lo=1))
+        object.__setattr__(self, "decay", as_real(self.decay, "decay", ConfigurationError))
         if not 0.0 <= self.decay < 1.0:
             raise ConfigurationError(f"decay must lie in [0, 1), got {self.decay}")
 

@@ -52,7 +52,7 @@ from .blocks import (
     tagged_sums,
 )
 from .dist import NORMAL, RefDist, student_t
-from .errors import ConfigurationError, DegenerateDenominatorError
+from .errors import ConfigurationError, DegenerateDenominatorError, as_real
 
 # kind: (CLI flag, block scheme, studentized)
 KINDS = {
@@ -200,7 +200,7 @@ def w_n(series, m1: int, m2: int) -> StatValue:
 
 def w_n_star(series, m1: int, m2: int, mu: float = 0.0) -> StatValue:
     """Student t statistic of the big-block sums against block mean m1*mu."""
-    return _scalar("WnStar", BigSmall(m1, m2), series, float(mu))
+    return _scalar("WnStar", BigSmall(m1, m2), series, as_real(mu, "mu", ConfigurationError))
 
 
 def i_n(series, m: int) -> StatValue:
@@ -214,7 +214,7 @@ def i_n(series, m: int) -> StatValue:
 
 def i_n_star(series, m: int, mu: float = 0.0) -> StatValue:
     """Student t statistic of the odd interlaced block sums."""
-    return _scalar("InStar", Interlace(m), series, float(mu))
+    return _scalar("InStar", Interlace(m), series, as_real(mu, "mu", ConfigurationError))
 
 
 def t_n_star(series, m: int) -> StatValue:

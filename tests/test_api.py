@@ -1,12 +1,43 @@
-"""The public names and the module-level names the benchmark tracer rebinds."""
+"""The public names, the module-level names the benchmark tracer rebinds, the classification
+of non-real scalars and grids, and the runtime's one dependency, numpy."""
 
+import importlib
 import importlib.util
+import os
+import pkgutil
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import blocknorm
-from blocknorm import IIDNormal, Interlace, SimConfig, cli, infer, mc, procgen, stats
+from blocknorm import (
+    AR1,
+    ARCH1,
+    BlocknormError,
+    ConfigurationError,
+    DataError,
+    HDLinear,
+    IIDNormal,
+    Interlace,
+    SimConfig,
+    cli,
+    exponents_to_sizes,
+    i_n_star,
+    infer,
+    mc,
+    mean_test,
+    procgen,
+    ratio_grid,
+    simultaneous_ci,
+    stats,
+    w_n_star,
+)
+
+SRC = str(Path(blocknorm.__file__).resolve().parents[1])
 
 
 def _spans_module():
@@ -20,6 +51,29 @@ def _spans_module():
 def test_every_public_name_resolves():
     missing = [name for name in blocknorm.__all__ if not hasattr(blocknorm, name)]
     assert missing == []
+
+
+def test_star_import_binds_exactly_the_export_list():
+    namespace = {}
+    exec("from blocknorm import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == blocknorm.__all__
+
+
+def test_export_list_is_sorted_and_holds_no_module_or_private_name():
+    assert blocknorm.__all__ == sorted(set(blocknorm.__all__))
+    assert not [name for name in blocknorm.__all__ if name.startswith("_")]
+    assert not [name for name in blocknorm.__all__ if isinstance(getattr(blocknorm, name), types.ModuleType)]
+
+
+def test_every_exported_name_comes_from_a_submodule():
+    # a name bound in __init__.py from outside the package would be exported too
+    submodules = [importlib.import_module(f"blocknorm.{m.name}") for m in pkgutil.iter_modules(blocknorm.__path__)]
+    foreign = [
+        name for name in blocknorm.__all__
+        if not any(getattr(module, name, None) is getattr(blocknorm, name) for module in submodules)
+    ]
+    assert foreign == []
 
 
 def test_tracer_finds_and_restores_every_hook():
@@ -39,3 +93,67 @@ def test_tracer_finds_and_restores_every_hook():
     finally:
         tracer.uninstall()
     assert (mc.generate_paths, stats.StatKernel.sums, infer.interlace_sums_matrix, cli.estimate_tail) == originals
+
+
+def _config(**fields):
+    base = dict(process=AR1(0.5), n=100, scheme=Interlace(5), stat_kind="InStar", reps=10, master_seed=0)
+    return SimConfig(**{**base, **fields})
+
+
+_SERIES = np.random.default_rng(0).standard_normal(200)
+_PANEL = np.random.default_rng(1).standard_normal((200, 3))
+
+
+@pytest.mark.parametrize(
+    "call, error, field",
+    [
+        (lambda: _config(x_grid=("a",)), ConfigurationError, "x_grid"),
+        (lambda: _config(x_grid=(1 + 1j,)), ConfigurationError, "x_grid"),
+        (lambda: _config(x_grid=1.5), ConfigurationError, "x_grid"),
+        (lambda: _config(mu0="a"), ConfigurationError, "mu0"),
+        (lambda: _config(mu0=1j), ConfigurationError, "mu0"),
+        (lambda: _config(mu0=[0.0]), ConfigurationError, "mu0"),
+        (lambda: ratio_grid(_config(), 5), ConfigurationError, "parameter grid"),
+        (lambda: ratio_grid(_config(), ["a"]), ConfigurationError, "parameter grid"),
+        (lambda: AR1("a"), ConfigurationError, "rho"),
+        (lambda: ARCH1(b="a"), ConfigurationError, "b"),
+        (lambda: ARCH1(b=0.5, a="x"), ConfigurationError, "a"),
+        (lambda: HDLinear(3, "a"), ConfigurationError, "decay"),
+        (lambda: i_n_star(_SERIES, 10, mu="a"), ConfigurationError, "mu"),
+        (lambda: w_n_star(_SERIES, 10, 5, mu=1j), ConfigurationError, "mu"),
+        (lambda: simultaneous_ci(_PANEL, alpha="x"), ConfigurationError, "alpha"),
+        (lambda: mean_test(_PANEL, "a", alpha=0.05), DataError, "mu0"),
+        (lambda: exponents_to_sizes(100, "a", 0.5), ConfigurationError, "alpha1"),
+    ],
+    ids=[
+        "x_grid-string", "x_grid-complex", "x_grid-scalar", "mu0-string", "mu0-complex", "mu0-list",
+        "ratio_grid-scalar", "ratio_grid-string", "AR1-rho", "ARCH1-b", "ARCH1-a", "HDLinear-decay",
+        "i_n_star-mu", "w_n_star-mu", "simultaneous_ci-alpha", "mean_test-mu0", "exponents_to_sizes-alpha1",
+    ],
+)
+def test_non_real_input_is_a_classified_error_naming_the_field(call, error, field):
+    with pytest.raises(error, match=f"^{field} must be ") as caught:
+        call()
+    assert isinstance(caught.value, BlocknormError)
+
+
+def test_runtime_needs_numpy_only():
+    # the test oracles scipy and mpmath are installed alongside, so a stray runtime import of
+    # either would go unnoticed; here any import of them fails
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = sys.modules['mpmath'] = None\n"
+        "import numpy as np\n"
+        "import blocknorm, blocknorm.cli\n"
+        "args = ['simulate', '--process', 'iid', '--stat', 'i-star', '--m', '5', '--n', '100',\n"
+        "        '--reps', '64', '--workers', '1', '--seed', '0']\n"
+        "assert blocknorm.cli.main(args) == 0\n"
+        "values = blocknorm.simulate_stats(blocknorm.SimConfig(\n"
+        "    blocknorm.IIDNormal(), 100, blocknorm.Interlace(5), 'InStar', 64, 0))\n"
+        "assert 0.0 < blocknorm.ks_distance(values, blocknorm.student_t(9)) < 1.0\n"
+        "panel = np.random.default_rng(0).standard_normal((200, 3))\n"
+        "blocknorm.mean_test(panel, np.zeros(3), alpha=0.05)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
