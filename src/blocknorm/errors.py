@@ -3,7 +3,8 @@ and `as_real_array`, the one conversion of real-valued inputs, which `as_real` n
 
 as_index's two messages: "<what> must be an integer, got <value>" and "<what> must be >= <lo>, got <value>".
 as_real_array's one: "<what> must be a rectangular array of real numbers: <numpy's reason>"; so a string,
-a complex number or a ragged list is rejected wherever a real number, grid or sample enters.
+a complex number, an integer beyond double range or a ragged list is rejected wherever a real number,
+grid or sample enters.
 as_real adds "<what> must be a real number, got shape <shape>" for an array.
 """
 
@@ -66,7 +67,7 @@ def as_real_array(data, what: str, error: type[BlocknormError]) -> np.ndarray:
         if np.iscomplexobj(x):
             raise TypeError("got complex values")
         return x.astype(float, copy=False)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"{what} must be a rectangular array of real numbers: {exc}") from None
 
 

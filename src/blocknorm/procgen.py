@@ -44,7 +44,10 @@ counter-based generator's stream is a pure function of its key and
 counter, so each row equals what a generator built for its seed alone
 would draw. The AR(1) and ARCH(1) recursions then run time-major and in
 place over the draws, in one pass per chunk, with the same floating-point
-operations in the same order as the step-by-step loops. The pass copies
+operations in the same order as the step-by-step loops. The pass hands
+each time tile to the process in one call, which steps through the tile
+with its constants (rho; a*a and b*b) bound once per chunk as arrays one
+value per row, so a time step costs only its ufunc calls. The pass copies
 back only the time tiles that reach the columns a path keeps: AR(1)'s
 from column 1, ARCH(1)'s from the first after its burn-in. The returned
 rows are therefore bit-identical to single-path generation, but they
@@ -186,14 +189,16 @@ class AR1:
             raise ConfigurationError(f"AR(1) needs |rho| < 1, got rho={self.rho}")
 
     def paths(self, n: int, seeds: Sequence[Seed]) -> np.ndarray:
-        rho = self.rho
+        rho = np.full(len(seeds), self.rho)
+        mul, add = np.multiply, np.add
 
-        def step(prev, cur, tmp):
-            np.add(np.multiply(rho, prev, tmp), cur, cur)
+        def run(slots, tmp):
+            for prev, cur in zip(slots, slots[1:]):
+                add(mul(rho, prev, tmp), cur, cur)
 
         eps = _draws(seeds, n, 1)
-        eps[:, 0] /= math.sqrt(1.0 - rho * rho)
-        _recur_in_place(eps, step)
+        eps[:, 0] /= math.sqrt(1.0 - self.rho * self.rho)
+        _recur_in_place(eps, run)
         return eps[:, 1:]
 
     def as_dict(self) -> dict:
@@ -230,14 +235,17 @@ class ARCH1:
 
     def paths(self, n: int, seeds: Sequence[Seed]) -> np.ndarray:
         a, b = self.a, self.b
+        aa, bb = np.full(len(seeds), a * a), np.full(len(seeds), b * b)
+        mul, add, sqrt = np.multiply, np.add, np.sqrt
 
-        def step(prev, cur, tmp):
-            u2 = np.multiply(np.multiply(b * b, prev, tmp), prev, tmp)
-            np.multiply(np.sqrt(np.add(a * a, u2, tmp), tmp), cur, cur)
+        def run(slots, tmp):
+            for prev, cur in zip(slots, slots[1:]):
+                u2 = mul(mul(bb, prev, tmp), prev, tmp)
+                mul(sqrt(add(aa, u2, tmp), tmp), cur, cur)
 
         x = _draws(seeds, n, 1 + ARCH_BURN_IN)
         x[:, 0] *= a / math.sqrt(1.0 - b * b)
-        _recur_in_place(x, step, keep=ARCH_BURN_IN + 1)
+        _recur_in_place(x, run, keep=ARCH_BURN_IN + 1)
         return x[:, ARCH_BURN_IN + 1 :]
 
     def as_dict(self) -> dict:
@@ -300,15 +308,18 @@ def _draws(seeds: Sequence[Seed], n: int, lead: int) -> np.ndarray:
     return out
 
 
-def _recur_in_place(x: np.ndarray, step, keep: int = 1) -> None:
-    """Run x[:, t] = step(x[:, t-1], x[:, t], tmp) for t = 1, 2, ... in one pass; x holds them from column keep on.
+def _recur_in_place(x: np.ndarray, run, keep: int = 1) -> None:
+    """Run a process's time recursion over x's columns 1, 2, ... in one pass; x holds them from column keep on.
 
     Time runs in tiles of _TILE steps. Each tile is copied transposed,
     _BAND rows at a time so the copy stays in cache, into a small buffer
     whose rows are time steps, so every step works on contiguous memory.
+    run(slots, tmp) is called once per tile with the buffer's rows for the
+    tile's width + 1 time points, slot 0 holding the last step of the tile
+    before; it sets each slots[t] from slots[t-1] and its own draws, in
+    order, computing intermediate results into tmp, one scratch row.
     Only the tiles that reach column keep are copied back, so columns
-    before keep may still hold their inputs. A step computes its
-    intermediate results into tmp, one scratch row.
+    before keep may still hold their inputs.
     """
     rows, cols = x.shape
     tmp = np.empty(rows)
@@ -319,8 +330,7 @@ def _recur_in_place(x: np.ndarray, step, keep: int = 1) -> None:
         width = min(_TILE, cols - lo)
         for r in range(0, rows, _BAND):
             buf[1 : width + 1, r : r + _BAND] = x[r : r + _BAND, lo : lo + width].T
-        for t in range(1, width + 1):
-            step(slots[t - 1], slots[t], tmp)
+        run(slots[: width + 1], tmp)
         if lo + width > keep:
             for r in range(0, rows, _BAND):
                 x[r : r + _BAND, lo : lo + width] = buf[1 : width + 1, r : r + _BAND].T

@@ -20,18 +20,23 @@ from blocknorm import (
     BlocknormError,
     ConfigurationError,
     DataError,
+    DomainError,
     HDLinear,
     IIDNormal,
     Interlace,
+    NORMAL,
     SimConfig,
     cli,
     exponents_to_sizes,
+    i_n,
     i_n_star,
     infer,
+    ks_distance,
     mc,
     mean_test,
     procgen,
     ratio_grid,
+    ref_upper,
     simultaneous_ci,
     stats,
     w_n_star,
@@ -124,11 +129,18 @@ _PANEL = np.random.default_rng(1).standard_normal((200, 3))
         (lambda: simultaneous_ci(_PANEL, alpha="x"), ConfigurationError, "alpha"),
         (lambda: mean_test(_PANEL, "a", alpha=0.05), DataError, "mu0"),
         (lambda: exponents_to_sizes(100, "a", 0.5), ConfigurationError, "alpha1"),
+        # integers beyond double range
+        (lambda: AR1(10**400), ConfigurationError, "rho"),
+        (lambda: _config(mu0=10**400), ConfigurationError, "mu0"),
+        (lambda: ref_upper(NORMAL, 10**400), DomainError, "argument"),
+        (lambda: i_n([10**400] * 10, 1), DataError, "series"),
+        (lambda: ks_distance([10**400, 1.0], NORMAL), DataError, "sample"),
     ],
     ids=[
         "x_grid-string", "x_grid-complex", "x_grid-scalar", "mu0-string", "mu0-complex", "mu0-list",
         "ratio_grid-scalar", "ratio_grid-string", "AR1-rho", "ARCH1-b", "ARCH1-a", "HDLinear-decay",
         "i_n_star-mu", "w_n_star-mu", "simultaneous_ci-alpha", "mean_test-mu0", "exponents_to_sizes-alpha1",
+        "AR1-rho-huge-int", "mu0-huge-int", "ref_upper-huge-int", "i_n-huge-int", "ks_distance-huge-int",
     ],
 )
 def test_non_real_input_is_a_classified_error_naming_the_field(call, error, field):

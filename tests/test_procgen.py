@@ -173,6 +173,17 @@ class TestAgainstReferenceLoops:
             batch = generate_paths(ARCH1(b=0.8), n, _SEEDS)
             assert np.array_equal(batch, _reference_paths(ARCH1(b=0.8), n, _SEEDS))
 
+    @pytest.mark.parametrize("tile", [8, 40, _TILE])
+    def test_tile_edges_of_the_per_tile_run(self, monkeypatch, tile):
+        # at tiles 8 and 40, which divide ARCH_BURN_IN, the first kept ARCH(1) column opens a tile;
+        # the first n leaves ARCH(1) a last tile one step long (n = 25 at a 64-step tile)
+        assert tile == _TILE or ARCH_BURN_IN % tile == 0
+        monkeypatch.setattr(procgen, "_TILE", tile)
+        for n in ((1 - ARCH_BURN_IN) % tile, tile + 1, 2 * tile):
+            for process in (AR1(0.7), ARCH1(b=0.8)):
+                batch = generate_paths(process, n, _SEEDS)
+                assert np.array_equal(batch, _reference_paths(process, n, _SEEDS))
+
     @pytest.mark.parametrize(
         "process",
         [AR1(-0.6), AR1(0.0), ARCH1(b=0.0, a=2.5), ARCH1(b=0.7, a=0.3)],
