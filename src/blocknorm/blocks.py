@@ -15,9 +15,7 @@ whole periods:
   [m, 2m), so the 2k blocks are consecutive.
 
 Indices are reported 1-based inclusive. Observations past the last full
-period are dropped. ``finite_array`` is the package's one check that a
-series or panel is a nonempty finite float array; ``block_sums`` takes
-a 1-D series through it.
+period are dropped.
 """
 
 from __future__ import annotations
@@ -176,18 +174,6 @@ def batch_partition(n: int, m: int) -> BlockPartition:
     return partition(Batch(m), n)
 
 
-def finite_array(data, ndim: int, name: str) -> np.ndarray:
-    """data as a nonempty float array of ndim axes with finite real values, else DataError."""
-    x = as_real_array(data, name, DataError)
-    if x.ndim != ndim:
-        raise DataError(f"{name} must be {ndim}-D, got shape {x.shape}")
-    if x.size < 1:
-        raise DataError(f"{name} must be nonempty, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise DataError(f"{name} contains non-finite values")
-    return x
-
-
 def tagged_sums(x: np.ndarray, scheme: BlockScheme, k: int, tag: str) -> np.ndarray:
     """Sums over the tag's windows in the first k periods of each row of x, in index order."""
     period, windows = scheme.layout()
@@ -215,7 +201,7 @@ def interlace_sums_matrix(x: np.ndarray, m: int, k: int) -> np.ndarray:
 
 def block_sums(series, partition: BlockPartition, tag: str) -> BlockSums:
     """Sum a 1-D finite series over every block carrying the given tag."""
-    x = finite_array(series, 1, "series")
+    x = as_real_array(series, "series", DataError, ndim=1, finite=True)
     if x.size != partition.n:
         raise DataError(f"series has length {x.size} but the partition was built for n={partition.n}")
     values = tagged_sums(x[np.newaxis, :], partition.scheme, partition.k, tag)[0]

@@ -6,9 +6,10 @@ accurate to full double precision: a tail ratio at x = 4 divides by
 probabilities as small as 3e-5 and needs ten good significant digits.
 
 `ref_upper` and `ref_cdf` are the front door: they alone check that x
-is finite, and `RefDist` alone checks df. `normal_upper`, `normal_cdf`,
-`t_upper` and `t_cdf` are the same calls with `NORMAL` or
-`student_t(df)`, so they take arrays too and raise the same errors.
+is real and finite, with `errors.as_real_array`, and `RefDist` alone
+checks df. `normal_upper`, `normal_cdf`, `t_upper` and `t_cdf` are the
+same calls with `NORMAL` or `student_t(df)`, so they take arrays too
+and raise the same errors.
 
 The normal CDF is evaluated through the complementary error function and
 the t CDF through the regularized incomplete beta function, computed by
@@ -77,15 +78,6 @@ NORMAL = RefDist()
 def student_t(df: int) -> RefDist:
     """Student t reference with integer degrees of freedom df >= 1."""
     return RefDist(df=df)
-
-
-def _finite(x) -> np.ndarray:
-    """x as a float ndarray (0-d for a scalar); non-real input or its first non-finite entry raises DomainError."""
-    x = as_real_array(x, "argument", DomainError)
-    bad = x[~np.isfinite(x)]
-    if bad.size:
-        raise DomainError(f"argument must be finite, got {float(bad[0])!r}")
-    return x
 
 
 def _beta_cont_frac(a: float, b: float, x: float) -> float:
@@ -199,7 +191,7 @@ def _upper(dist: RefDist, xs: list[float]) -> list[float]:
 
 def _tail(dist: RefDist, x, sign: float):
     """P(X >= sign * x); x is checked before the sign is applied, so an error shows x's own sign."""
-    xs = _finite(x)
+    xs = as_real_array(x, "argument", DomainError, finite=True)
     upper = _upper(dist, (sign * xs).ravel().tolist())
     if isinstance(x, (np.ndarray, list, tuple)):
         return np.array(upper, dtype=float).reshape(xs.shape)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import Interlace, finite_array, interlace_sums_matrix, periods, scale_exponent
+from .blocks import Interlace, interlace_sums_matrix, periods, scale_exponent
 from .dist import NORMAL, RefDist, ref_quantile, student_t
 from .errors import ConfigurationError, DataError, as_real, as_real_array
 
@@ -104,7 +104,7 @@ def default_block_length(n: int) -> int:
 
 def simultaneous_ci(panel, alpha: float, m: int | None = None, use_t: bool = True) -> CiSet:
     """Level 1 - alpha simultaneous confidence intervals for the mean vector."""
-    z = finite_array(panel, 2, "panel")
+    z = as_real_array(panel, "panel", DataError, ndim=2, finite=True)
     n, p = z.shape
     alpha = as_real(alpha, "alpha", ConfigurationError)
     if not 0.0 < alpha < 1.0:
@@ -157,7 +157,7 @@ def mean_test(panel, mu0, alpha: float, m: int | None = None, use_t: bool = True
     return TestResult(
         reject=bool(violating),
         violating_coordinates=violating,
-        alpha=alpha,
+        alpha=ci.alpha,
         mu0=mu,
         m=ci.m,
     )

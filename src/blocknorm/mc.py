@@ -39,7 +39,6 @@ from __future__ import annotations
 import collections
 import dataclasses
 import itertools
-import math
 import os
 import signal
 import threading
@@ -79,16 +78,14 @@ class SimConfig:
     kernel: StatKernel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        grid = _real_grid(self.x_grid, "x_grid")
+        grid = as_real_array(self.x_grid, "x_grid", ConfigurationError, ndim=1, finite=True)
         object.__setattr__(self, "x_grid", tuple(grid.tolist()))
         object.__setattr__(self, "n", as_index(self.n, "path length n", ConfigurationError))
         object.__setattr__(self, "reps", as_index(self.reps, "reps", ConfigurationError, lo=1))
         object.__setattr__(self, "master_seed", as_seed(self.master_seed, "master seed"))
-        object.__setattr__(self, "mu0", as_real(self.mu0, "mu0", ConfigurationError))
+        object.__setattr__(self, "mu0", as_real(self.mu0, "mu0", ConfigurationError, finite=True))
         if not hasattr(self.process, "paths"):
             raise ConfigurationError(f"process {self.process!r} does not generate scalar paths")
-        if not math.isfinite(self.mu0):
-            raise ConfigurationError(f"mu0 must be finite, got {self.mu0}")
         if grid.size > 1 and not np.all(np.diff(grid) > 0):
             raise ConfigurationError("x_grid must be strictly increasing")
         # fail fast on mismatches and on an unrepresentable mu0, and keep the kernel for the run
@@ -140,16 +137,6 @@ class RatioGrid:
     def ratios(self) -> np.ndarray:
         """Matrix of ratios, rows indexed by x, columns by parameter value."""
         return np.column_stack([t.ratio for t in self.tables])
-
-
-def _real_grid(values, what: str) -> np.ndarray:
-    """values as a nonempty 1-D float array; anything else raises a ConfigurationError naming what."""
-    grid = as_real_array(values, what, ConfigurationError)
-    if grid.ndim != 1:
-        raise ConfigurationError(f"{what} must be 1-D, got shape {grid.shape}")
-    if grid.size < 1:
-        raise ConfigurationError(f"{what} must be nonempty")
-    return grid
 
 
 def _chunk_bounds(reps: int) -> Iterator[tuple[int, int]]:
@@ -341,7 +328,7 @@ def estimate_tail(config: SimConfig, workers: int = 1) -> TailTable:
 
 def ratio_grid(config: SimConfig, params: Sequence[float], workers: int = 1) -> RatioGrid:
     """One tail table per parameter value, assembled column-wise."""
-    params = _real_grid(params, "parameter grid").tolist()
+    params = as_real_array(params, "parameter grid", ConfigurationError, ndim=1, finite=True).tolist()
     name = getattr(config.process, "param", None)
     if name is None:
         raise ConfigurationError("parameter grids exist for AR(1) (over rho) and ARCH(1) (over b)")
@@ -360,9 +347,7 @@ def ks_distance(sample, ref: RefDist) -> float:
     ref's CDF is evaluated in one array call over the sorted sample, a nonempty
     1-D array of real numbers (else DataError) of finite values (else DomainError).
     """
-    s = as_real_array(sample, "sample", DataError)
-    if s.ndim != 1 or s.size < 1:
-        raise DataError(f"sample must be a nonempty 1-D array, got shape {s.shape}")
+    s = as_real_array(sample, "sample", DataError, ndim=1)
     s, n = np.sort(s), s.size
     cdf = ref_cdf(ref, s)
     steps = np.arange(1, n + 1) / n
@@ -375,9 +360,7 @@ def table1(x_grid: Sequence[float] = DEFAULT_X_GRID) -> np.ndarray:
     Returns a (len(x_grid), 5) array in full precision with columns
     TABLE1_COLUMNS; the CSV writer rounds to five decimals.
     """
-    x = as_real_array(x_grid, "x grid", ConfigurationError)
-    if x.ndim != 1:
-        raise ConfigurationError(f"x grid must be 1-D, got shape {x.shape}")
+    x = as_real_array(x_grid, "x grid", ConfigurationError, ndim=1)
     nu = ref_upper(NORMAL, x)
     if not nu.all():
         raise DomainError(

@@ -46,13 +46,12 @@ from .blocks import (
     BigSmall,
     BlockScheme,
     Interlace,
-    finite_array,
     periods,
     scale_exponent,
     tagged_sums,
 )
 from .dist import NORMAL, RefDist, student_t
-from .errors import ConfigurationError, DegenerateDenominatorError, as_real
+from .errors import ConfigurationError, DataError, DegenerateDenominatorError, as_real, as_real_array
 
 # kind: (CLI flag, block scheme, studentized)
 KINDS = {
@@ -183,7 +182,7 @@ def make_kernel(kind: str, scheme: BlockScheme, n: int, mu0: float = 0.0) -> Sta
 
 
 def _scalar(kind: str, scheme: BlockScheme, series, mu0: float = 0.0) -> StatValue:
-    x = finite_array(series, 1, "series")
+    x = as_real_array(series, "series", DataError, ndim=1, finite=True)
     kernel = make_kernel(kind, scheme, x.size, mu0)
     values, degenerate = kernel.values(x[np.newaxis, :])
     if degenerate[0]:
@@ -236,8 +235,8 @@ def two_sample_w(data: TwoSampleData, m1: int, m2: int) -> StatValue:
     When sizes are driven by exponents, m1 and m2 should be computed
     from the combined length n1 + n2 (see exponents_to_sizes).
     """
-    x1 = finite_array(data.x1, 1, "x1")
-    x2 = finite_array(data.x2, 1, "x2")
+    x1 = as_real_array(data.x1, "x1", DataError, ndim=1, finite=True)
+    x2 = as_real_array(data.x2, "x2", DataError, ndim=1, finite=True)
     scheme = BigSmall(m1, m2)
     period = scheme.layout()[0]
     k1, k2 = x1.size // period, x2.size // period

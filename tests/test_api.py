@@ -1,5 +1,5 @@
 """The public names, the module-level names the benchmark tracer rebinds, the classification
-of non-real scalars and grids, and the runtime's one dependency, numpy."""
+of non-real, non-finite and misshapen scalars and arrays, and the runtime's one dependency, numpy."""
 
 import importlib
 import importlib.util
@@ -26,6 +26,7 @@ from blocknorm import (
     Interlace,
     NORMAL,
     SimConfig,
+    TwoSampleData,
     cli,
     exponents_to_sizes,
     i_n,
@@ -39,6 +40,8 @@ from blocknorm import (
     ref_upper,
     simultaneous_ci,
     stats,
+    table1,
+    two_sample_w,
     w_n_star,
 )
 
@@ -135,12 +138,30 @@ _PANEL = np.random.default_rng(1).standard_normal((200, 3))
         (lambda: ref_upper(NORMAL, 10**400), DomainError, "argument"),
         (lambda: i_n([10**400] * 10, 1), DataError, "series"),
         (lambda: ks_distance([10**400, 1.0], NORMAL), DataError, "sample"),
+        # numeric strings
+        (lambda: AR1("0.5"), ConfigurationError, "rho"),
+        (lambda: ref_upper(NORMAL, "1.5"), DomainError, "argument"),
+        (lambda: i_n_star(_SERIES, 10, mu="0"), ConfigurationError, "mu"),
+        (lambda: mean_test(_PANEL, np.zeros(3), alpha="0.05"), ConfigurationError, "alpha"),
+        # non-finite arrays
+        (lambda: _config(x_grid=(float("nan"),)), ConfigurationError, "x_grid"),
+        (lambda: _config(x_grid=(2.0, float("inf"))), ConfigurationError, "x_grid"),
+        (lambda: ratio_grid(_config(), [0.1, float("nan")]), ConfigurationError, "parameter grid"),
+        (lambda: simultaneous_ci(np.vstack([_PANEL, [0.0, np.inf, 0.0]]), alpha=0.05), DataError, "panel"),
+        (lambda: two_sample_w(TwoSampleData([np.nan] * 10, _SERIES), 2, 1), DataError, "x1"),
+        (lambda: i_n(np.append(_SERIES, -np.inf), 10), DataError, "series"),
+        # arrays with more axes than one
+        (lambda: ks_distance(_PANEL, NORMAL), DataError, "sample"),
+        (lambda: table1([[1.6, 1.7]]), ConfigurationError, "x grid"),
     ],
     ids=[
         "x_grid-string", "x_grid-complex", "x_grid-scalar", "mu0-string", "mu0-complex", "mu0-list",
         "ratio_grid-scalar", "ratio_grid-string", "AR1-rho", "ARCH1-b", "ARCH1-a", "HDLinear-decay",
         "i_n_star-mu", "w_n_star-mu", "simultaneous_ci-alpha", "mean_test-mu0", "exponents_to_sizes-alpha1",
         "AR1-rho-huge-int", "mu0-huge-int", "ref_upper-huge-int", "i_n-huge-int", "ks_distance-huge-int",
+        "AR1-rho-numeric-string", "ref_upper-numeric-string", "i_n_star-mu-numeric-string",
+        "mean_test-alpha-numeric-string", "x_grid-nan", "x_grid-inf", "ratio_grid-nan", "panel-inf", "x1-nan",
+        "series-inf", "ks_distance-2d", "table1-2d",
     ],
 )
 def test_non_real_input_is_a_classified_error_naming_the_field(call, error, field):

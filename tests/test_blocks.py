@@ -11,10 +11,9 @@ from blocknorm.blocks import (
     bbsb_partition,
     block_sums,
     exponents_to_sizes,
-    finite_array,
     interlace_partition,
 )
-from blocknorm.errors import ConfigurationError, DataError
+from blocknorm.errors import ConfigurationError, DataError, as_real_array
 
 
 class TestExponents:
@@ -143,7 +142,7 @@ class TestBlockSums:
 
     def test_non_finite_series_rejected(self):
         series = [1.0, 2.0, np.nan, 4.0, 5.0, np.inf, 7.0, 8.0]
-        with pytest.raises(DataError, match="series contains non-finite values"):
+        with pytest.raises(DataError, match="series must be finite, got nan"):
             block_sums(series, interlace_partition(8, 2), "odd")
 
     def test_batch_of_one_row_rejected(self):
@@ -160,8 +159,10 @@ class TestBlockSums:
 
 
 class TestFiniteArray:
+    """The array rule of `errors.as_real_array` as series and panels take it: n axes, nonempty, finite."""
+
     def test_returns_float_array(self):
-        x = finite_array([[1, 2], [3, 4]], 2, "panel")
+        x = as_real_array([[1, 2], [3, 4]], "panel", DataError, ndim=2, finite=True)
         assert x.dtype == float and x.shape == (2, 2)
 
     @pytest.mark.parametrize(
@@ -169,7 +170,7 @@ class TestFiniteArray:
         [
             ([1.0, 2.0], 2, r"panel must be 2-D, got shape \(2,\)"),
             (np.zeros((0, 3)), 2, r"panel must be nonempty, got shape \(0, 3\)"),
-            ([[1.0, -np.inf]], 2, "panel contains non-finite values"),
+            ([[1.0, -np.inf]], 2, "panel must be finite, got -inf"),
             (["a"] * 10, 1, "panel must be a rectangular array of real numbers: could not convert"),
             ([[1.0], [1.0, 2.0]], 2, "panel must be a rectangular array of real numbers: .*inhomogeneous"),
             (np.array([1 + 2j] * 10), 1, "panel must be a rectangular array of real numbers: got complex"),
@@ -178,7 +179,7 @@ class TestFiniteArray:
     )
     def test_errors_name_the_input(self, data, ndim, message):
         with pytest.raises(DataError, match=message):
-            finite_array(data, ndim, "panel")
+            as_real_array(data, "panel", DataError, ndim=ndim, finite=True)
 
 
 def _assert_valid_partition(part):

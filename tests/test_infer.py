@@ -1,14 +1,14 @@
 """Simultaneous intervals and mean-vector tests on panels."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 import blocknorm.infer as infer
-from blocknorm.blocks import finite_array
 from blocknorm.dist import ref_quantile, student_t
-from blocknorm.errors import ConfigurationError, DataError
+from blocknorm.errors import ConfigurationError, DataError, as_real_array
 from blocknorm.infer import (
     ci_text_table,
     default_block_length,
@@ -151,20 +151,26 @@ class TestMeanTest:
         with pytest.raises(DataError):
             mean_test(_panel(p=5), np.zeros(4), alpha=0.05, m=8)
 
+    @pytest.mark.parametrize("alpha", [np.float32(0.05), np.array(0.05)], ids=["float32", "0-d"])
+    def test_result_holds_alpha_as_a_python_float(self, alpha):
+        result = mean_test(_panel(p=5), np.zeros(5), alpha=alpha, m=8)
+        assert type(result.alpha) is float and result.alpha == float(alpha)
+        json.dumps(result.as_dict())
+
     def test_panel_passed_over_once(self, monkeypatch):
         checked = []
 
-        def counting_check(data, ndim, name):
-            checked.append(name)
-            return finite_array(data, ndim, name)
+        def counting_check(data, what, error, **rule):
+            checked.append(what)
+            return as_real_array(data, what, error, **rule)
 
-        monkeypatch.setattr(infer, "finite_array", counting_check)
+        monkeypatch.setattr(infer, "as_real_array", counting_check)
         mean_test(_panel(p=5), np.zeros(5), alpha=0.05, m=8)
-        assert checked == ["panel"]
+        assert checked == ["panel", "mu0"]
 
     def test_errors_come_panel_then_alpha_then_mu0(self):
         bad_mu0 = np.zeros(4)
-        with pytest.raises(DataError, match="panel contains non-finite values"):
+        with pytest.raises(DataError, match="panel must be finite, got nan"):
             mean_test(np.full((40, 5), np.nan), bad_mu0, alpha=2.0, m=8)
         with pytest.raises(ConfigurationError, match="alpha"):
             mean_test(_panel(p=5), bad_mu0, alpha=2.0, m=8)

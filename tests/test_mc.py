@@ -58,7 +58,7 @@ class TestConfigValidation:
             _config(x_grid=(2.0, 1.0))
 
     def test_x_grid_must_be_nonempty(self):
-        with pytest.raises(ConfigurationError, match="x_grid must be nonempty"):
+        with pytest.raises(ConfigurationError, match=re.escape("x_grid must be nonempty, got shape (0,)")):
             _config(x_grid=())
 
     def test_reps_positive(self):
@@ -308,7 +308,7 @@ class TestKSDistance:
         assert ks_distance(sample, NORMAL) < 0.006
 
     def test_empty_sample_rejected(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=re.escape("sample must be nonempty, got shape (0,)")):
             ks_distance([], NORMAL)
 
     @pytest.mark.parametrize("dist", [NORMAL, student_t(9), student_t(141)], ids=lambda d: d.label())
@@ -332,7 +332,7 @@ class TestKSDistance:
         np.array(0.3),
     ], ids=["column", "2x3", "scalar"])
     def test_a_sample_that_is_not_1d_is_a_data_error(self, sample):
-        with pytest.raises(DataError, match=re.escape(f"1-D array, got shape {sample.shape}")):
+        with pytest.raises(DataError, match=re.escape(f"sample must be 1-D, got shape {sample.shape}")):
             ks_distance(sample, NORMAL)
 
 
@@ -376,6 +376,11 @@ class TestTable1:
             with pytest.raises(ConfigurationError, match=re.escape(f"x grid must be 1-D, got shape {shape}")):
                 fn(grid)
 
+    def test_an_empty_grid_is_a_configuration_error(self):
+        for fn in (table1, table1_csv):
+            with pytest.raises(ConfigurationError, match=re.escape("x grid must be nonempty, got shape (0,)")):
+                fn([])
+
     @pytest.mark.parametrize("grid, reason", [
         (["x"], "could not convert string to float"),
         ([1.6, 2 + 1j], "got complex values"),
@@ -418,7 +423,7 @@ class TestGridsAndSerialization:
         assert len(lines) == 3
 
     def test_grid_needs_parameter_values(self):
-        with pytest.raises(ConfigurationError, match="parameter grid must be nonempty"):
+        with pytest.raises(ConfigurationError, match=re.escape("parameter grid must be nonempty, got shape (0,)")):
             ratio_grid(_config(process=AR1(0.0)), [])
 
     def test_grid_requires_parametric_process(self):

@@ -202,7 +202,7 @@ class TestDegenerateAndErrors:
             two_sample_w(TwoSampleData(np.arange(18.0), np.arange(5.0)), 4, 2)
 
     def test_two_sample_errors_name_the_sample(self):
-        with pytest.raises(DataError, match="x2 contains non-finite values"):
+        with pytest.raises(DataError, match="x2 must be finite, got inf"):
             two_sample_w(TwoSampleData(np.arange(10.0), np.array([1.0, np.inf])), 2, 1)
 
     def test_kernel_scheme_mismatch(self):
