@@ -4,7 +4,7 @@ Subcommands: ``table1`` (reference tail table), ``simulate`` (Monte
 Carlo tail estimation and parameter grids), ``ci`` (simultaneous
 intervals from a panel CSV), ``test`` (mean-vector test). Exit codes:
 0 success, 1 usage or configuration error, 2 data error, 3 internal
-error.
+error, 130 interrupted (Ctrl-C).
 
 Outputs are deterministic given the flags. Every run produces a
 manifest (command echo, resolved configuration, master seed, RNG
@@ -370,6 +370,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args, argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
+    except KeyboardInterrupt:
+        sys.stderr.write("blocknorm: interrupted\n")
+        return 130
     except (ConfigurationError, DomainError, MemoryError) as exc:  # a run too large to fit is misconfigured
         sys.stderr.write(f"blocknorm: configuration error: {exc}\n")
         return 1

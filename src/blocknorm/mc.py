@@ -341,17 +341,43 @@ def ratio_grid(config: SimConfig, params: Sequence[float], workers: int = 1) -> 
     return RatioGrid(param_name=name, param_values=tuple(params), tables=tables)
 
 
+_KS_STRIDE = 12  # the fastest of 4, 8, 10, 12, 14, 16 and 32 on three 8,192-value t samples
+# ks_distance is exact while the computed CDF falls by at most this between sample values.
+# The t CDF lies within 1.2e-7 of the normal limit at df = 10^8 and is more accurate at
+# smaller df, so up to there it falls by far less; past 10^8 its error grows (2.3e-5 at
+# df = 10^10), and at df = 10^15 it falls by up to 6.8e-6.
+_KS_SLACK = 1e-6
+
+
 def ks_distance(sample, ref: RefDist) -> float:
     """Sup distance between the empirical CDF of the sample and ref's CDF.
 
-    ref's CDF is evaluated in one array call over the sorted sample, a nonempty
-    1-D array of real numbers (else DataError) of finite values (else DomainError).
+    The sample is a nonempty 1-D array of real, finite numbers (else
+    DataError naming it). ref's CDF is evaluated in two array calls over
+    the sorted sample: at every _KS_STRIDE-th value and the last, then at
+    every value of each gap between those where the distance, bounded
+    through the CDF's values at the gap's ends, could reach the largest
+    found less _KS_SLACK. Each element's CDF has the same bits in any
+    batch, so the result equals the distance over every value whenever
+    the computed CDF falls by at most _KS_SLACK between sample values.
     """
-    s = as_real_array(sample, "sample", DataError, ndim=1)
-    s, n = np.sort(s), s.size
-    cdf = ref_cdf(ref, s)
+    s = np.sort(as_real_array(sample, "sample", DataError, ndim=1, finite=True))
+    n = s.size
     steps = np.arange(1, n + 1) / n
-    return float(max((steps - cdf).max(), (cdf - steps + 1.0 / n).max()))
+
+    def largest(k: np.ndarray, cdf: np.ndarray) -> float:  # the distance over sorted indices k
+        return max((steps[k] - cdf).max(initial=0.0), (cdf - steps[k] + 1.0 / n).max(initial=0.0))
+
+    coarse = np.append(np.arange(0, n - 1, _KS_STRIDE), n - 1)
+    cdf = ref_cdf(ref, s[coarse])
+    best = largest(coarse, cdf)
+    # the CDF is nondecreasing, so a value skipped between coarse indices i < j has its CDF in [cdf[i], cdf[j]]
+    i, j = coarse[:-1], coarse[1:]
+    bound = np.maximum(steps[j - 1] - cdf[:-1], cdf[1:] - steps[i + 1] + 1.0 / n)
+    starts = i[(j - i > 1) & (bound >= best - _KS_SLACK)]
+    fine = (starts[:, np.newaxis] + np.arange(1, _KS_STRIDE)).ravel()
+    fine = fine[fine < n - 1]
+    return float(max(best, largest(fine, ref_cdf(ref, s[fine]))))
 
 
 def table1(x_grid: Sequence[float] = DEFAULT_X_GRID) -> np.ndarray:
@@ -360,7 +386,7 @@ def table1(x_grid: Sequence[float] = DEFAULT_X_GRID) -> np.ndarray:
     Returns a (len(x_grid), 5) array in full precision with columns
     TABLE1_COLUMNS; the CSV writer rounds to five decimals.
     """
-    x = as_real_array(x_grid, "x grid", ConfigurationError, ndim=1)
+    x = as_real_array(x_grid, "x grid", ConfigurationError, ndim=1, finite=True)
     nu = ref_upper(NORMAL, x)
     if not nu.all():
         raise DomainError(

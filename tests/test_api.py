@@ -153,6 +153,9 @@ _PANEL = np.random.default_rng(1).standard_normal((200, 3))
         # arrays with more axes than one
         (lambda: ks_distance(_PANEL, NORMAL), DataError, "sample"),
         (lambda: table1([[1.6, 1.7]]), ConfigurationError, "x grid"),
+        # non-finite grid points
+        (lambda: table1([1.6, float("inf")]), ConfigurationError, "x grid"),
+        (lambda: table1([float("nan")]), ConfigurationError, "x grid"),
     ],
     ids=[
         "x_grid-string", "x_grid-complex", "x_grid-scalar", "mu0-string", "mu0-complex", "mu0-list",
@@ -161,7 +164,7 @@ _PANEL = np.random.default_rng(1).standard_normal((200, 3))
         "AR1-rho-huge-int", "mu0-huge-int", "ref_upper-huge-int", "i_n-huge-int", "ks_distance-huge-int",
         "AR1-rho-numeric-string", "ref_upper-numeric-string", "i_n_star-mu-numeric-string",
         "mean_test-alpha-numeric-string", "x_grid-nan", "x_grid-inf", "ratio_grid-nan", "panel-inf", "x1-nan",
-        "series-inf", "ks_distance-2d", "table1-2d",
+        "series-inf", "ks_distance-2d", "table1-2d", "table1-inf", "table1-nan",
     ],
 )
 def test_non_real_input_is_a_classified_error_naming_the_field(call, error, field):

@@ -2,8 +2,10 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,20 @@ import blocknorm
 import blocknorm.mc as mc
 from blocknorm.cli import MAX_GRID_POINTS, main, parse_grid
 from blocknorm.errors import ConfigurationError
+
+
+def _session_members(sid: int) -> list[int]:
+    """The processes of session sid that have not exited; a zombie waiting to be reaped has."""
+    members = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                state, _, _, session = fh.read().rsplit(")", 1)[1].split()[:4]
+        except (FileNotFoundError, ProcessLookupError):
+            continue
+        if int(session) == sid and state != "Z":
+            members.append(int(pid))
+    return members
 
 
 def _run(capsys, *argv):
@@ -432,6 +448,44 @@ class TestTopLevel:
     def test_version(self, capsys):
         assert main(["--version"]) == 0
         assert "blocknorm" in capsys.readouterr().out
+
+    def test_interrupt_ends_in_one_line(self, capsys, monkeypatch):
+        real_chunk = mc._run_chunk
+
+        def interrupted_at_second_chunk(config, kernel, grid, bounds, collect):
+            if bounds[0] > 0:
+                raise KeyboardInterrupt
+            return real_chunk(config, kernel, grid, bounds, collect)
+
+        monkeypatch.setattr(mc, "_run_chunk", interrupted_at_second_chunk)
+        code, out, err = _run(
+            capsys, "simulate", "--process", "iid", "--stat", "i-star", "--m", "10",
+            "--n", "100", "--reps", str(4 * mc._CHUNK_REPS), "--workers", "1",
+        )
+        assert (code, out, err) == (130, "", "blocknorm: interrupted\n")
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process sessions from /proc")
+    def test_ctrl_c_ends_a_pool_run_in_one_line_and_leaves_no_process(self):
+        src = str(Path(blocknorm.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.Popen(
+            [sys.executable, "-m", "blocknorm.cli", "simulate", "--process", "arch1", "--b", "0.9",
+             "--stat", "i-star", "--m", "50", "--reps", "10000000", "--workers", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, start_new_session=True,
+        )
+        try:
+            time.sleep(1.0)
+            os.killpg(run.pid, signal.SIGINT)  # as Ctrl-C does, to the whole process group
+            out, err = run.communicate(timeout=60)
+        finally:
+            if run.poll() is None:
+                os.killpg(run.pid, signal.SIGKILL)
+                run.wait()
+        assert (run.returncode, out, err) == (130, "", "blocknorm: interrupted\n")
+        deadline = time.monotonic() + 10.0
+        while _session_members(run.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _session_members(run.pid) == []
 
 
 class TestConfigResolution:

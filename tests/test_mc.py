@@ -291,6 +291,23 @@ class TestReferenceTailUnderflow:
         assert table.ratio[1] == 0.0
 
 
+_KS_CASES = [
+    (dist, kind)
+    for dist in [NORMAL] + [student_t(df) for df in (1, 2, 9, 19, 141, 10**4, 10**6)]
+    for kind in ("draws", "ties", "quantiles", "n1", "n2", "n9", "n65")
+]
+
+
+def _ks_sample(kind, dist):
+    """8,192 t9 draws, the same rounded to 0.1 (so with ties), 400 quantiles of dist, or n<size> t9 draws."""
+    if kind == "quantiles":  # every gap reaches the supremum, so no value may be skipped
+        n = 400
+        return np.array([ref_quantile(dist, (i - 0.5) / n) for i in range(1, n + 1)])
+    size = 8192 if kind in ("draws", "ties") else int(kind[1:])
+    sample = np.random.default_rng(8).standard_t(9, size)
+    return np.round(sample, 1) if kind == "ties" else sample
+
+
 class TestKSDistance:
     def test_single_point_against_normal(self):
         assert ks_distance([0.0], NORMAL) == pytest.approx(0.5, abs=1e-12)
@@ -311,19 +328,43 @@ class TestKSDistance:
         with pytest.raises(DataError, match=re.escape("sample must be nonempty, got shape (0,)")):
             ks_distance([], NORMAL)
 
-    @pytest.mark.parametrize("dist", [NORMAL, student_t(9), student_t(141)], ids=lambda d: d.label())
-    def test_equals_scalar_cdf_loop(self, dist):
-        sample = np.sort(np.random.default_rng(8).standard_t(9, 3000))
+    @pytest.mark.parametrize("dist, kind", _KS_CASES, ids=[
+        dist.label() if kind == "draws" else f"{dist.label()}-{kind}" for dist, kind in _KS_CASES
+    ])
+    def test_equals_scalar_cdf_loop(self, dist, kind):
+        # ks_distance evaluates the CDF only where the supremum can lie; the reference evaluates it everywhere
+        sample = np.sort(_ks_sample(kind, dist))
         n = sample.size
         cdf = np.array([ref_cdf(dist, float(v)) for v in sample])
         steps = np.arange(1, n + 1) / n
         expected = float(max((steps - cdf).max(), (cdf - steps + 1.0 / n).max()))
         assert ks_distance(sample[::-1], dist) == expected
 
+    def test_exact_while_the_computed_cdf_falls_by_at_most_the_slack(self, monkeypatch):
+        # coarse points 0, s and 2s, where the distance is 0.4; the gap before s is bounded by
+        # 0.4 - dip/2, and its last value, where the CDF falls by dip, lies at 0.4 + dip/2
+        s, dip = mc._KS_STRIDE, 0.8 * mc._KS_SLACK
+        n = 2 * s + 1
+        cdf = np.full(n, 0.6)
+        cdf[:s] = s / n - 0.4 + dip / 2
+        cdf[s - 1] -= dip
+        cdf[s] = 0.3
+        monkeypatch.setattr(mc, "ref_cdf", lambda d, x: cdf[x.astype(int)])
+        steps = np.arange(1, n + 1) / n
+        expected = float(max((steps - cdf).max(), (cdf - steps + 1.0 / n).max()))
+        assert expected > 0.4 and ks_distance(np.arange(float(n)), NORMAL) == expected
+
+    def test_evaluates_the_cdf_at_a_quarter_of_the_null_law_sample_at_most(self, monkeypatch):
+        config = SimConfig(IIDNormal(), 1000, Interlace(50), "InStar", 8192, 0)
+        sample, points = simulate_stats(config), []
+        monkeypatch.setattr(mc, "ref_cdf", lambda d, x: points.append(len(x)) or ref_cdf(d, x))
+        ks_distance(sample, student_t(9))
+        assert sample.size == 8192 and sum(points) <= sample.size // 4
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_sample_value_raises(self, bad):
         for dist in (NORMAL, student_t(9)):
-            with pytest.raises(DomainError):
+            with pytest.raises(DataError, match=re.escape(f"sample must be finite, got {bad!r}")):
                 ks_distance([0.1, bad, -0.3], dist)
 
     @pytest.mark.parametrize("sample", [
