@@ -21,7 +21,11 @@ ends, as happens beyond |x| of about 1e14. A quantile whose CDF is
 exactly 0 or 1 in double precision (t1 at p = 1e-300 lies near -3e299,
 past the 1.3e154 where x * x overflows) raises `DomainError`. Degrees of
 freedom are integers of any integer type (numpy's too) but not bools,
-and are stored as a Python int.
+and are stored as a Python int. They run from 1 to `_MAX_DF` = 10^8, and
+a larger df raises `DomainError`: up to 10^8 the computed CDF never falls
+between neighbours of a 20,001-point grid of [-8, 8], but past it the
+tails leave the normal limit (by 2.3e-5 at df 10^10 and 0.28 at 10^15,
+where the CDF also falls by up to 6.8e-6 between neighbouring points).
 
 Array inputs. `ref_upper` and `ref_cdf` also take an ndarray or list and
 return an ndarray of its shape (a non-finite entry raises
@@ -50,6 +54,7 @@ from .errors import DomainError, as_index, as_real_array
 _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOOP_LANES = 64  # continued-fraction lanes run one scalar loop each up to here; see above
+_MAX_DF = 10**8  # the largest df whose computed CDF was checked to rise; see above
 
 
 @dataclass(frozen=True)
@@ -62,6 +67,8 @@ class RefDist:
         if self.df is None:
             return
         df = as_index(self.df, "degrees of freedom", DomainError, lo=1)
+        if df > _MAX_DF:
+            raise DomainError(f"degrees of freedom must be <= 10^8, where the t tails stay accurate, got {df}")
         object.__setattr__(self, "df", df)  # a Python int, so labels and cache keys do not depend on its type
 
     @property

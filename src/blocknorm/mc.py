@@ -13,7 +13,12 @@ platform offers fork). The pool lives for the Python process: later runs
 with the same p reuse it, a run with another p replaces it, and it is
 shut down at exit. Either way one loop folds in each chunk's results in
 chunk order as they arrive, so a one-worker run holds one chunk at a
-time. A pool run keeps at most 2p chunks in flight, submitting the next
+time. Of its paths it holds all at once only for AR(1) and ARCH(1),
+whose recursions run vectorized across the chunk's rows; an iid chunk,
+whose rows share nothing, is drawn and evaluated one band of at most
+_BAND_BYTES (1 MiB) of draws at a time, and the bands' values are
+joined in row order, so no result depends on the band size either.
+A pool run keeps at most 2p chunks in flight, submitting the next
 as each result is taken, so its memory does not grow with the
 replication count either; an error or an interrupt drops the chunks
 still queued.
@@ -57,7 +62,9 @@ from .blocks import BlockScheme
 DEFAULT_X_GRID: tuple[float, ...] = tuple(round(1.6 + 0.1 * i, 10) for i in range(25))
 DEFAULT_REPS = 100_000
 
-_CHUNK_REPS = 1024  # bounds each worker's path memory; results never depend on it
+_CHUNK_REPS = 1024  # bounds each worker's AR(1) and ARCH(1) path memory; results never depend on it
+# bounds the draws of one band of a chunk without a time recursion: 131 rows at n = 1000 (512 KiB measured slower)
+_BAND_BYTES = 1 << 20
 
 TABLE1_COLUMNS = ("x", "normal_upper", "t19_upper", "t9_upper", "t9_over_normal")
 
@@ -152,8 +159,13 @@ def _run_chunk(
 ) -> tuple[np.ndarray, int, np.ndarray | None]:
     lo, hi = bounds
     seeds = derive_rep_seed(config.master_seed, range(lo, hi))
-    paths = generate_paths(config.process, config.n, seeds)
-    values, degenerate = kernel.values(paths)
+    # a recursion runs vectorized across the chunk's rows; rows without one are drawn a band at a time
+    band = len(seeds) if config.process.recursive else max(1, _BAND_BYTES // (8 * config.n))
+    parts = [
+        kernel.values(generate_paths(config.process, config.n, seeds[i : i + band]))
+        for i in range(0, len(seeds), band)
+    ]
+    values, degenerate = map(np.concatenate, zip(*parts))
     good = values[~degenerate]
     if not np.isfinite(good).all():
         raise ArithmeticError(
@@ -259,7 +271,7 @@ def _pool_results(size: int, tasks: Iterator[tuple]) -> Iterator:
         _close_pool()
         raise ConfigurationError(
             f"a worker process died (workers = {size}); if it ran out of memory, "
-            f"use fewer workers: each holds one chunk of {_CHUNK_REPS} paths"
+            f"use fewer workers: each holds at most one chunk of {_CHUNK_REPS} paths"
         ) from None
     finally:  # an error or an interrupt drops the chunks still queued
         for future in window:
@@ -343,9 +355,8 @@ def ratio_grid(config: SimConfig, params: Sequence[float], workers: int = 1) -> 
 
 _KS_STRIDE = 12  # the fastest of 4, 8, 10, 12, 14, 16 and 32 on three 8,192-value t samples
 # ks_distance is exact while the computed CDF falls by at most this between sample values.
-# The t CDF lies within 1.2e-7 of the normal limit at df = 10^8 and is more accurate at
-# smaller df, so up to there it falls by far less; past 10^8 its error grows (2.3e-5 at
-# df = 10^10), and at df = 10^15 it falls by up to 6.8e-6.
+# RefDist takes df up to 10^8, where the computed t CDF never falls between neighbours
+# of a 20,001-point grid of [-8, 8]; past it the CDF could fall (by up to 6.8e-6 at 10^15).
 _KS_SLACK = 1e-6
 
 

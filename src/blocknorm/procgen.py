@@ -146,7 +146,9 @@ def _draw_buffer(rows: int, cols: int) -> np.ndarray:
     the process allocated: its peak memory would differ from run to run by
     a chunk's draws. So a buffer in that range is a view of this thread's
     own memory map, which is reused, with its pages already touched, once
-    no array made from it is alive, and replaced otherwise.
+    no array made from it is alive, and replaced otherwise. mc draws an
+    iid chunk in bands of at most 1 MiB (one row, where a row holds more),
+    and a band below 1 MiB comes from np.empty.
     """
     nbytes = rows * cols * 8
     lo, hi = _MAPPED_BYTES
@@ -169,6 +171,8 @@ def _draw_buffer(rows: int, cols: int) -> np.ndarray:
 class IIDNormal:
     """Independent standard normal observations."""
 
+    recursive: ClassVar[bool] = False  # rows share nothing, so a chunk may be drawn in bands of rows
+
     def paths(self, n: int, seeds: Sequence[Seed]) -> np.ndarray:
         return _draws(seeds, n, 0)
 
@@ -181,6 +185,7 @@ class AR1:
     """X_i = rho * X_{i-1} + eps_i with standard normal innovations, |rho| < 1."""
 
     param: ClassVar[str] = "rho"  # the parameter a ratio grid varies
+    recursive: ClassVar[bool] = True  # the time recursion runs vectorized across a chunk's rows
     rho: float
 
     def __post_init__(self) -> None:
@@ -217,6 +222,7 @@ class ARCH1:
     """
 
     param: ClassVar[str] = "b"  # the parameter a ratio grid varies
+    recursive: ClassVar[bool] = True  # the time recursion runs vectorized across a chunk's rows
     b: float
     a: float = 1.0
 

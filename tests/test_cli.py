@@ -665,6 +665,18 @@ class TestConfigResolution:
         assert code == 0 and out.startswith("x,ratio")
         assert json.loads(err)["config"]["config"]["mu0"] == 1e155  # the manifest, not an error
 
+    def test_a_path_too_long_for_the_t_law_is_a_configuration_error(self, capsys):
+        # 10^9 block sums: t(10^9 - 1) is past the largest df the t tails are computed for
+        code, out, err = _run(
+            capsys, "simulate", "--process", "iid", "--stat", "i-star", "--m", "50",
+            "--n", "100000000000", "--reps", "10",
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "blocknorm: configuration error: degrees of freedom must be <= 10^8, "
+            "where the t tails stay accurate, got 999999999\n"
+        )
+
     def test_out_of_memory_is_a_configuration_error(self, capsys, monkeypatch):
         def too_large(process, n, seeds):
             raise MemoryError("Unable to allocate 7.28 TiB for an array")

@@ -190,6 +190,16 @@ class TestDomainErrors:
         with pytest.raises(DomainError):
             student_t(-1)
 
+    def test_degrees_of_freedom_end_at_ten_to_the_eight(self):
+        # past 10^8 the computed t tails leave the normal limit, and the CDF can fall
+        assert student_t(10**8).df == RefDist(df=10**8).df == 10**8
+        assert 0.0 < t_upper(1.0, 10**8) < 0.5
+        for df in (10**8 + 1, 10**15):
+            message = f"degrees of freedom must be <= 10^8, where the t tails stay accurate, got {df}"
+            for make in (student_t, lambda df: t_upper(1.0, df), lambda df: RefDist(df=df)):
+                with pytest.raises(DomainError, match=re.escape(message)):
+                    make(df)
+
     def test_non_integer_degrees_of_freedom(self):
         with pytest.raises(DomainError, match="degrees of freedom must be an integer, got 2.5"):
             student_t(2.5)

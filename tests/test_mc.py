@@ -223,26 +223,33 @@ class TestDegenerateHandling:
             estimate_tail(_config(reps=100))
 
     def test_rare_degenerates_excluded_from_both_sides(self, monkeypatch):
+        cfg = _config(reps=2000, x_grid=(-1e9,))
+        first = derive_rep_seed(cfg.master_seed, 0)
+        drawn = []  # the seeds of the paths drawn last
+        real_generate = mc.generate_paths
+
+        def generate(process, n, seeds):
+            drawn[:] = seeds
+            return real_generate(process, n, seeds)
+
         class _Kernel:
-            def __init__(self, inner, lo):
-                self.inner, self.lo = inner, lo
+            def __init__(self, inner):
+                self.inner = inner
                 self.ref = inner.ref
 
             def values(self, paths):
                 values, degenerate = self.inner.values(paths)
                 degenerate = degenerate.copy()
-                if self.lo == 0:  # replication 0, whatever the chunk size
-                    degenerate[0] = True
+                # replication 0, whatever the chunk and band sizes
+                degenerate[[row for row, seed in enumerate(drawn) if seed == first]] = True
                 return values, degenerate
 
         real_chunk = mc._run_chunk
+        monkeypatch.setattr(mc, "generate_paths", generate)
         monkeypatch.setattr(
             mc, "_run_chunk",
-            lambda config, kernel, grid, bounds, collect: real_chunk(
-                config, _Kernel(kernel, bounds[0]), grid, bounds, collect
-            ),
+            lambda config, kernel, grid, bounds, collect: real_chunk(config, _Kernel(kernel), grid, bounds, collect),
         )
-        cfg = _config(reps=2000, x_grid=(-1e9,))
         table = estimate_tail(cfg)
         assert table.degenerate_count == 1
         # every retained draw exceeds -1e9, so exclusion from both sides gives exactly 1
@@ -608,21 +615,43 @@ class TestWorkerThreadBound:
 
 
 class TestChunkSize:
-    """The chunk size bounds a worker's memory; no result depends on it."""
+    """The chunk and band sizes bound a worker's memory; no result depends on them."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("process", [IIDNormal(), AR1(0.7), ARCH1(b=0.6)], ids=["iid", "ar1", "arch1"])
     def test_results_do_not_depend_on_chunk_size(self, monkeypatch, fresh_pool, process, workers):
         _allow_cpus(monkeypatch, 2)
         cfg = _config(process=process, n=60, reps=2500, x_grid=(0.5, 1.0, 2.0))
+        assert mc._BAND_BYTES >= 8 * cfg.n * mc._CHUNK_REPS  # by default one band holds a chunk
         table, values = estimate_tail(cfg, workers=workers), simulate_stats(cfg, workers=workers)
-        for size in (1000, 4096):
-            monkeypatch.setattr(mc, "_CHUNK_REPS", size)
-            other = estimate_tail(cfg, workers=workers)
-            for field in ("mc_tail", "ref_tail", "ratio", "mc_se"):
-                assert np.array_equal(getattr(other, field), getattr(table, field))
-            assert other.degenerate_count == table.degenerate_count
-            assert np.array_equal(simulate_stats(cfg, workers=workers), values)
+        # bands of 1 row, 7 rows (which do not divide a chunk) and a whole chunk
+        sizes = [("_CHUNK_REPS", 1000), ("_CHUNK_REPS", 4096)]
+        sizes += [("_BAND_BYTES", rows * 8 * cfg.n) for rows in (1, 7, mc._CHUNK_REPS)]
+        drawn = []  # the rows of each generate_paths call in this process
+        real_generate = mc.generate_paths
+
+        def generate(process, n, seeds):
+            drawn.append(len(seeds))
+            return real_generate(process, n, seeds)
+
+        monkeypatch.setattr(mc, "generate_paths", generate)
+        for name, size in sizes:
+            with monkeypatch.context() as patch:
+                patch.setattr(mc, name, size)
+                mc._close_pool()  # the next pool forks with this size
+                drawn.clear()
+                other = estimate_tail(cfg, workers=workers)
+                for field in ("mc_tail", "ref_tail", "ratio", "mc_se"):
+                    assert np.array_equal(getattr(other, field), getattr(table, field))
+                assert other.degenerate_count == table.degenerate_count
+                assert np.array_equal(simulate_stats(cfg, workers=workers), values)
+                if workers == 1:
+                    chunks = [hi - lo for lo, hi in mc._chunk_bounds(cfg.reps)]
+                    if process.recursive:  # whole chunks, whatever the band size
+                        assert drawn == 2 * chunks
+                    else:
+                        band = max(1, mc._BAND_BYTES // (8 * cfg.n))
+                        assert drawn == 2 * [min(band, c - i) for c in chunks for i in range(0, c, band)]
 
     def test_one_worker_memory_does_not_grow_with_the_chunk_count(self, monkeypatch):
         monkeypatch.setattr(mc, "_CHUNK_REPS", 1)

@@ -11,7 +11,7 @@ import pytest
 import blocknorm.procgen as procgen
 from blocknorm.blocks import Interlace
 from blocknorm.errors import ConfigurationError
-from blocknorm.mc import _CHUNK_REPS, SimConfig, _chunk_bounds, estimate_tail
+from blocknorm.mc import _BAND_BYTES, _CHUNK_REPS, SimConfig, _chunk_bounds, estimate_tail
 from blocknorm.procgen import (
     _BAND,
     _TILE,
@@ -293,7 +293,13 @@ def test_draw_buffers_hold_one_chunk_at_most(monkeypatch, process):
     monkeypatch.setattr(procgen, "_draw_buffer", spy)
     cfg = SimConfig(process, 1000, Interlace(50), "InStar", 2 * _CHUNK_REPS + 1, 0, x_grid=(1.0,))
     estimate_tail(cfg, workers=1)
-    assert len(shapes) == 3 and max(rows for rows, _ in shapes) <= _CHUNK_REPS
+    rows = [r for r, _ in shapes]
+    if process.recursive:  # the recursion runs across a whole chunk's rows
+        assert rows == [_CHUNK_REPS, _CHUNK_REPS, 1]
+    else:  # one band of at most _BAND_BYTES of draws at a time
+        band = _BAND_BYTES // (8 * 1000)
+        assert max(rows) == band and sum(rows) == cfg.reps and len(rows) == 2 * -(-_CHUNK_REPS // band) + 1
+        assert max(r * c * 8 for r, c in shapes) <= _BAND_BYTES
 
 
 class TestDrawBuffers:
