@@ -23,22 +23,21 @@ past the 1.3e154 where x * x overflows) raises `DomainError`. Degrees of
 freedom are integers of any integer type (numpy's too) but not bools,
 and are stored as a Python int. They run from 1 to `_MAX_DF` = 10^8, and
 a larger df raises `DomainError`: up to 10^8 the computed CDF never falls
-between neighbours of a 20,001-point grid of [-8, 8], but past it the
-tails leave the normal limit (by 2.3e-5 at df 10^10 and 0.28 at 10^15,
-where the CDF also falls by up to 6.8e-6 between neighbouring points).
+between neighbours of a 20,001-point grid of [-8, 8] or a 2,001-point
+grid of [-0.01, 0.01] (both tested at df 10^4, 10^6 and 10^8), but past
+it the tails leave the normal limit (by 2.3e-5 at df 10^10 and 0.28 at
+10^15, where the CDF also falls by up to 6.8e-6 between neighbouring
+points).
 
-Array inputs. `ref_upper` and `ref_cdf` also take an ndarray or list and
-return an ndarray of its shape (a non-finite entry raises
-`DomainError`); a scalar is evaluated as a 0-d array. Each t
-tail's z = df / (df + x^2), its z = 0 and z = 1 cases, front factor,
-branch, complement and sign are computed per element with `math`, not
-numpy, whose log, log1p and exp differ from the C library's in the last
-bit on some inputs. Only the continued fraction is batched, per branch:
-up to `_LOOP_LANES` lanes run `_beta_cont_frac` once each, more run
-`_beta_cont_frac_array`, which performs the same operations in the same
-order per lane and leaves each lane at the step where the scalar loop
-returns. `_LOOP_LANES` sits in the measured crossover, 48 to 96 lanes by
-df and branch (2 cores, numpy 2.4.6, Python 3.11.7).
+Array inputs. `ref_upper` and `ref_cdf` also take an ndarray or any
+sequence numpy reads as one (a list, tuple, range or array.array) and
+return an ndarray of its shape (a non-finite entry raises `DomainError`);
+only a scalar gives a float, and it is evaluated as a 0-d array. Every
+element runs the one scalar path: each t tail's z = df / (df + x^2), its
+z = 0 and z = 1 cases, front factor, continued fraction `_beta_cont_frac`,
+complement and sign are computed with `math`, not numpy, whose log, log1p
+and exp differ from the C library's in the last bit on some inputs. So an
+array call is bit-identical to scalar calls made per element.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from .errors import DomainError, as_index, as_real_array
 
 _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_LOOP_LANES = 64  # continued-fraction lanes run one scalar loop each up to here; see above
 _MAX_DF = 10**8  # the largest df whose computed CDF was checked to rise; see above
 
 
@@ -118,76 +116,26 @@ def _beta_cont_frac(a: float, b: float, x: float) -> float:
     raise ArithmeticError(f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x})")
 
 
-def _beta_cont_frac_array(a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """_beta_cont_frac for each element of x, with the same operations per lane.
-
-    A lane leaves the iteration at the step its scalar loop returns, so
-    every result is bit-identical to the scalar one.
-    """
-    tiny = 1e-300
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    out = np.empty_like(x)
-    lane = np.arange(x.size)
-    c = np.ones_like(x)
-    d = 1.0 - qab * x / qap
-    d = 1.0 / np.where(np.abs(d) < tiny, tiny, d)
-    h = d
-    for m in range(1, 801):
-        if not lane.size:
-            return out
-        m2 = 2 * m
-        even = m * (b - m) * x / ((qam + m2) * (a + m2))
-        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        for aa in (even, odd):
-            d = 1.0 + aa * d
-            d = np.where(np.abs(d) < tiny, tiny, d)
-            c = 1.0 + aa / c
-            c = np.where(np.abs(c) < tiny, tiny, c)
-            d = 1.0 / d
-            delta = d * c
-            h = h * delta
-        done = np.abs(delta - 1.0) < 1e-16
-        if done.any():
-            out[lane[done]] = h[done]
-            live = ~done
-            lane, x, c, d, h = lane[live], x[live], c[live], d[live], h[live]
-    if lane.size:
-        raise ArithmeticError(f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x[0]})")
-    return out
-
-
-def _cont_frac(a: float, b: float, zs: list[float]) -> list[float]:
-    """_beta_cont_frac at each z: one scalar loop per lane up to _LOOP_LANES lanes, one array loop above."""
-    if len(zs) <= _LOOP_LANES:
-        return [_beta_cont_frac(a, b, z) for z in zs]
-    return _beta_cont_frac_array(a, b, np.array(zs)).tolist()
-
-
 def _t_upper(xs: list[float], df: int) -> list[float]:
     """P(T >= x) for each finite x, through I_z(df/2, 1/2) with z = df / (df + x^2)."""
     a, b = 0.5 * df, 0.5
     ln_c = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
     split = (a + 1.0) / (a + b + 2.0)
-    upper = [0.5] * len(xs)  # z = 1: x = 0, or x * x underflows
-    direct, complement = ([], [], []), ([], [], [])  # lanes, z, fronts: no tuple per lane to collect
-    for i, x in enumerate(xs):
+    upper = []
+    for x in xs:
         z = df / (df + x * x)
         if z <= 0.0:  # x * x overflows
-            upper[i] = 0.0
-        elif z < 1.0:
-            lanes, zs, fronts = direct if z < split else complement
-            lanes.append(i)
-            zs.append(z)
-            fronts.append(math.exp(ln_c + a * math.log(z) + b * math.log1p(-z)))
-    lanes, zs, fronts = direct
-    for i, front, cf in zip(lanes, fronts, _cont_frac(a, b, zs)):
-        upper[i] = 0.5 * (front * cf / a)
-    lanes, zs, fronts = complement
-    for i, front, cf in zip(lanes, fronts, _cont_frac(b, a, [1.0 - z for z in zs])):
-        upper[i] = 0.5 * (1.0 - front * cf / b)
-    return [u if x >= 0.0 else 1.0 - u for x, u in zip(xs, upper)]
+            u = 0.0
+        elif z >= 1.0:  # x = 0, or x * x underflows
+            u = 0.5
+        else:
+            front = math.exp(ln_c + a * math.log(z) + b * math.log1p(-z))
+            if z < split:
+                u = 0.5 * (front * _beta_cont_frac(a, b, z) / a)
+            else:
+                u = 0.5 * (1.0 - front * _beta_cont_frac(b, a, 1.0 - z) / b)
+        upper.append(u if x >= 0.0 else 1.0 - u)
+    return upper
 
 
 def _upper(dist: RefDist, xs: list[float]) -> list[float]:
@@ -200,7 +148,7 @@ def _tail(dist: RefDist, x, sign: float):
     """P(X >= sign * x); x is checked before the sign is applied, so an error shows x's own sign."""
     xs = as_real_array(x, "argument", DomainError, finite=True)
     upper = _upper(dist, (sign * xs).ravel().tolist())
-    if isinstance(x, (np.ndarray, list, tuple)):
+    if xs.ndim or isinstance(x, np.ndarray):
         return np.array(upper, dtype=float).reshape(xs.shape)
     return upper[0]
 
@@ -208,7 +156,8 @@ def _tail(dist: RefDist, x, sign: float):
 def ref_cdf(dist: RefDist, x):
     """Distribution function of a reference distribution.
 
-    A scalar x gives a float; an array (or list) gives an ndarray of its shape.
+    A scalar x gives a float; an array, list, range or other sequence gives
+    an ndarray of its shape.
     """
     return _tail(dist, x, -1.0)
 
@@ -216,8 +165,8 @@ def ref_cdf(dist: RefDist, x):
 def ref_upper(dist: RefDist, x):
     """Upper tail probability P(X >= x) of a reference distribution.
 
-    A scalar x gives a float; an array (or list) gives an ndarray of its
-    shape, bit-identical to scalar calls made per element.
+    A scalar x gives a float; an array, list, range or other sequence gives
+    an ndarray of its shape, bit-identical to scalar calls made per element.
     """
     return _tail(dist, x, 1.0)
 

@@ -353,10 +353,11 @@ def ratio_grid(config: SimConfig, params: Sequence[float], workers: int = 1) -> 
     return RatioGrid(param_name=name, param_values=tuple(params), tables=tables)
 
 
-_KS_STRIDE = 12  # the fastest of 4, 8, 10, 12, 14, 16 and 32 on three 8,192-value t samples
+_KS_STRIDE = 12  # of 6, 8, 10, 12, 14, 16, 24, 32 and 48, 12 and 14 were fastest on 8,192-value t samples
 # ks_distance is exact while the computed CDF falls by at most this between sample values.
 # RefDist takes df up to 10^8, where the computed t CDF never falls between neighbours
-# of a 20,001-point grid of [-8, 8]; past it the CDF could fall (by up to 6.8e-6 at 10^15).
+# of a 20,001-point grid of [-8, 8] or of [-0.01, 0.01] at 2,001 points (see the dist docstring);
+# past it the CDF could fall (by up to 6.8e-6 at 10^15).
 _KS_SLACK = 1e-6
 
 

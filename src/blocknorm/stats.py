@@ -3,7 +3,11 @@
 Six statistics, all scale-free by construction:
 
 * ``Wn`` / ``In``: the raw self-normalized sum of big-block (resp. odd
-  interlaced) sums, sum(Y) / sqrt(sum(Y^2)).
+  interlaced) sums, sum(Y) / sqrt(sum(Y^2)).  Their reference t(k) is a
+  package convention, not their law: under independent normal block
+  sums, P(In >= x) = P(t(k-1) >= x * sqrt((k-1) / (k - x^2))) for
+  0 <= x < sqrt(k), and 0 from sqrt(k) on (|In| <= sqrt(k) for any
+  data); the same holds for Wn.
 * ``WnStar`` / ``InStar``: the one-sample Student t statistic of the
   block sums against a hypothesized per-observation mean mu, i.e.
   (mean(Y) - m*mu) * sqrt(k) / sd(Y).  Under independent normal block
@@ -161,7 +165,7 @@ def make_kernel(kind: str, scheme: BlockScheme, n: int, mu0: float = 0.0) -> Sta
         if n_sums < 2:
             raise ConfigurationError(f"statistic {kind} needs at least 2 block sums, got {n_sums}")
         ref = student_t(n_sums - 1)
-    else:
+    else:  # a convention: the raw ratio's law under independence is not t(k); see the module docstring
         ref = student_t(n_sums)
     if not math.isfinite(2.0 * length * abs(float(mu0)) * math.sqrt(n_sums)):
         raise ConfigurationError(

@@ -193,3 +193,17 @@ def test_runtime_needs_numpy_only():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_import_loads_no_pool_or_command_line_module():
+    # the benchmark's setup_s counts the import; mc loads its pool modules only when it starts a
+    # pool, and the command-line module (argparse) loads only when asked for
+    code = (
+        "import sys\n"
+        "import blocknorm\n"
+        "print(' '.join(m for m in ('multiprocessing', 'concurrent.futures', 'argparse') if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []

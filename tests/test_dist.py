@@ -8,6 +8,7 @@ oracle. The array path is checked bit for bit against the scalar one,
 and the four named accessors against ref_upper and ref_cdf.
 """
 
+import array
 import math
 import os
 import re
@@ -144,6 +145,14 @@ class TestProperties:
             # symmetry: cdf(-x) + cdf(x) = 1 pairing the reversed grid
             assert np.max(np.abs(values + values[::-1] - 1.0)) < 1e-13
 
+    @pytest.mark.parametrize("df", [10**4, 10**6, 10**8])
+    def test_cdf_never_falls_at_large_df(self, df):
+        # ks_distance (mc._KS_SLACK) and dist._MAX_DF rely on this up to df 10^8,
+        # near x = 0 too, where the CDF loses accuracy at large df
+        d = student_t(df)
+        for grid in (np.linspace(-8.0, 8.0, 20_001), np.linspace(-0.01, 0.01, 2_001)):
+            assert np.all(np.diff(ref_cdf(d, grid)) >= 0.0)
+
     def test_normal_symmetry_grid(self):
         xs = (np.arange(1601) - 800) * 0.01
         values = np.array([normal_cdf(float(x)) for x in xs])
@@ -260,22 +269,8 @@ class TestArrayPath:
         inside = x_beta[(x_beta > 0.0) & (x_beta < 1.0)]
         low = inside < (a + 1.0) / (a + 0.5 + 2.0)
         assert low.any() and (~low).any()
-        # and the lanes that skip it: x = 0, x * x underflowing, x * x overflowing
+        # and the elements that skip it: x = 0, x * x underflowing, x * x overflowing
         assert (x_beta == 1.0).any() and (x_beta == 0.0).any()
-
-    @pytest.mark.parametrize("extra", [0, 1], ids=["at-threshold", "above"])
-    @pytest.mark.parametrize("df", [9, 141])
-    def test_lane_threshold_bit_identical_to_scalar_calls(self, monkeypatch, df, extra):
-        # up to _LOOP_LANES lanes of one branch run the scalar loop, one more runs the array loop
-        lanes = dist._LOOP_LANES + extra
-        array_calls = []
-        array_loop = dist._beta_cont_frac_array
-        monkeypatch.setattr(dist, "_beta_cont_frac_array", lambda *a: array_calls.append(a) or array_loop(*a))
-        d = student_t(df)
-        # |x| >= 2 keeps every lane on the direct branch, 0 < |x| <= 0.1 on the complement branch
-        for xs in (np.linspace(2.0, 6.0, lanes), np.linspace(-0.1, -0.01, lanes)):
-            assert np.array_equal(ref_upper(d, xs), [ref_upper(d, float(x)) for x in xs])
-        assert len(array_calls) == 2 * extra
 
     @pytest.mark.parametrize("d", [NORMAL, student_t(9)], ids=lambda d: d.label())
     def test_shapes(self, d):
@@ -297,6 +292,15 @@ class TestArrayPath:
         for x in (1.5, 2, np.float64(1.5)):
             assert type(ref_upper(d, x)) is float
             assert type(ref_cdf(d, x)) is float
+
+    @pytest.mark.parametrize("d", [NORMAL, student_t(9)], ids=lambda d: d.label())
+    def test_any_sequence_gives_an_array_of_its_shape(self, d):
+        # not only ndarray, list and tuple: a range or an array.array is a sequence of three values too
+        _, cdf = _accessors(d)
+        for xs in (range(3), array.array("d", [0.0, 1.0, 2.0])):
+            for got, front in ((ref_upper(d, xs), ref_upper), (ref_cdf(d, xs), ref_cdf), (cdf(xs), ref_cdf)):
+                assert isinstance(got, np.ndarray) and got.shape == (3,)
+                assert got.tolist() == [front(d, float(x)) for x in xs]
 
     @pytest.mark.parametrize("d", [NORMAL, student_t(9)], ids=lambda d: d.label())
     def test_non_finite_entries_raise(self, d):
