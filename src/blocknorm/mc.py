@@ -13,8 +13,8 @@ platform offers fork). The pool lives for the Python process: later runs
 with the same p reuse it, a run with another p replaces it, and it is
 shut down at exit. Either way one loop folds in each chunk's results in
 chunk order as they arrive, so a one-worker run holds one chunk at a
-time. Of its paths it holds all at once only for AR(1) and ARCH(1),
-whose recursions run vectorized across the chunk's rows; an iid chunk,
+time. Of its paths it holds all at once only for a process with a
+recursion, which runs vectorized across the chunk's rows; an iid chunk,
 whose rows share nothing, is drawn and evaluated one band of at most
 _BAND_BYTES (1 MiB) of draws at a time, and the bands' values are
 joined in row order, so no result depends on the band size either.
@@ -87,11 +87,11 @@ class SimConfig:
     def __post_init__(self) -> None:
         grid = as_real_array(self.x_grid, "x_grid", ConfigurationError, ndim=1, finite=True)
         object.__setattr__(self, "x_grid", tuple(grid.tolist()))
-        object.__setattr__(self, "n", as_index(self.n, "path length n", ConfigurationError))
+        object.__setattr__(self, "n", as_index(self.n, "path length n", ConfigurationError, lo=1))
         object.__setattr__(self, "reps", as_index(self.reps, "reps", ConfigurationError, lo=1))
         object.__setattr__(self, "master_seed", as_seed(self.master_seed, "master seed"))
         object.__setattr__(self, "mu0", as_real(self.mu0, "mu0", ConfigurationError, finite=True))
-        if not hasattr(self.process, "paths"):
+        if not hasattr(self.process, "lead"):
             raise ConfigurationError(f"process {self.process!r} does not generate scalar paths")
         if grid.size > 1 and not np.all(np.diff(grid) > 0):
             raise ConfigurationError("x_grid must be strictly increasing")
@@ -160,7 +160,7 @@ def _run_chunk(
     lo, hi = bounds
     seeds = derive_rep_seed(config.master_seed, range(lo, hi))
     # a recursion runs vectorized across the chunk's rows; rows without one are drawn a band at a time
-    band = len(seeds) if config.process.recursive else max(1, _BAND_BYTES // (8 * config.n))
+    band = len(seeds) if hasattr(config.process, "recur") else max(1, _BAND_BYTES // (8 * config.n))
     parts = [
         kernel.values(generate_paths(config.process, config.n, seeds[i : i + band]))
         for i in range(0, len(seeds), band)

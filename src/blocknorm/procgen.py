@@ -27,32 +27,33 @@ bit, from one pass of the same steps over uint64 arrays (which wrap
 mod 2**64 as the scalar form's masks do); a Monte Carlo chunk derives
 its seeds in one such call. The scalar form stays the specification.
 
-Draw protocol per path (fixed; changing it would change all outputs):
+Draw protocol per path (fixed; changing it would change all outputs);
+lead, a class attribute, counts the draws before the first observation:
 
-* iid normal: n draws.
-* AR(1): n+1 draws; draw 0 scaled by 1/sqrt(1-rho^2) starts the
+* iid normal, lead 0: n draws.
+* AR(1), lead 1: draw 0 scaled by 1/sqrt(1-rho^2) starts the
   recursion at its exact stationary law, draws 1..n are innovations.
-* ARCH(1): n+1001 draws; draw 0 scaled by a/sqrt(1-b^2) initializes,
-  the next 1000 innovations are burned in, the last n are emitted.
+* ARCH(1), lead 1001: draw 0 scaled by a/sqrt(1-b^2) initializes, the
+  next 1000 innovations are burned in, the last n are emitted.
 * high-dimensional linear: an (n+lag_cap) x p block of draws, filled
   row-major, combined with geometric lag weights.
 
-Batching. generate_paths draws a chunk of paths through one Generator:
-before each row it re-keys the Philox to the exact state of a fresh
-Philox(key=seed) (key [seed, 0], counter 0, empty output buffer). A
-counter-based generator's stream is a pure function of its key and
-counter, so each row equals what a generator built for its seed alone
-would draw. The AR(1) and ARCH(1) recursions then run time-major and in
-place over the draws, in one pass per chunk, with the same floating-point
-operations in the same order as the step-by-step loops. The pass hands
-each time tile to the process in one call, which steps through the tile
-with its constants (rho; a*a and b*b) bound once per chunk as arrays one
-value per row, so a time step costs only its ufunc calls. The pass copies
-back only the time tiles that reach the columns a path keeps: AR(1)'s
-from column 1, ARCH(1)'s from the first after its burn-in. The returned
-rows are therefore bit-identical to single-path generation, but they
-may be views into a wider array of draws rather than a contiguous array
-of their own.
+Batching. generate_paths draws, then recurs. It draws lead + n normals
+per path for a chunk of paths through one Generator: before each row it
+re-keys the Philox to the exact state of a fresh Philox(key=seed) (key
+[seed, 0], counter 0, empty output buffer). A counter-based generator's
+stream is a pure function of its key and counter, so each row equals
+what a generator built for its seed alone would draw. A process with a
+recursion (AR(1), ARCH(1)) then turns the given draws into paths with
+its recur(x): it scales column 0 and runs the recursion time-major and
+in place, in one pass per chunk, with the same floating-point operations
+in the same order as the step-by-step loops. The pass hands each time
+tile to the process in one call, which steps through the tile with its
+constants (rho; a*a and b*b) bound once per chunk as arrays one value
+per row, so a time step costs only its ufunc calls. The pass copies back
+only the time tiles that reach column lead, the first a path keeps. The
+returned columns from lead on are bit-identical to single-path
+generation, but a view into a wider array of draws.
 """
 
 from __future__ import annotations
@@ -171,10 +172,7 @@ def _draw_buffer(rows: int, cols: int) -> np.ndarray:
 class IIDNormal:
     """Independent standard normal observations."""
 
-    recursive: ClassVar[bool] = False  # rows share nothing, so a chunk may be drawn in bands of rows
-
-    def paths(self, n: int, seeds: Sequence[Seed]) -> np.ndarray:
-        return _draws(seeds, n, 0)
+    lead: ClassVar[int] = 0  # draws before a path's first observation; no recursion, so rows share nothing
 
     def as_dict(self) -> dict:
         return {"process": "iid"}
@@ -185,7 +183,7 @@ class AR1:
     """X_i = rho * X_{i-1} + eps_i with standard normal innovations, |rho| < 1."""
 
     param: ClassVar[str] = "rho"  # the parameter a ratio grid varies
-    recursive: ClassVar[bool] = True  # the time recursion runs vectorized across a chunk's rows
+    lead: ClassVar[int] = 1  # draws before a path's first observation: the stationary start
     rho: float
 
     def __post_init__(self) -> None:
@@ -193,18 +191,17 @@ class AR1:
         if not abs(self.rho) < 1.0:
             raise ConfigurationError(f"AR(1) needs |rho| < 1, got rho={self.rho}")
 
-    def paths(self, n: int, seeds: Sequence[Seed]) -> np.ndarray:
-        rho = np.full(len(seeds), self.rho)
+    def recur(self, x: np.ndarray) -> None:
+        """Turn a (rows, lead + n) buffer of draws into AR(1) paths, in place from column lead on."""
+        rho = np.full(len(x), self.rho)
         mul, add = np.multiply, np.add
 
         def run(slots, tmp):
             for prev, cur in zip(slots, slots[1:]):
                 add(mul(rho, prev, tmp), cur, cur)
 
-        eps = _draws(seeds, n, 1)
-        eps[:, 0] /= math.sqrt(1.0 - self.rho * self.rho)
-        _recur_in_place(eps, run)
-        return eps[:, 1:]
+        x[:, 0] /= math.sqrt(1.0 - self.rho * self.rho)
+        _recur_in_place(x, run, self.lead)
 
     def as_dict(self) -> dict:
         return {"process": "ar1", "rho": self.rho}
@@ -222,7 +219,7 @@ class ARCH1:
     """
 
     param: ClassVar[str] = "b"  # the parameter a ratio grid varies
-    recursive: ClassVar[bool] = True  # the time recursion runs vectorized across a chunk's rows
+    lead: ClassVar[int] = 1 + ARCH_BURN_IN  # draws before a path's first observation: start and burn-in
     b: float
     a: float = 1.0
 
@@ -239,9 +236,10 @@ class ARCH1:
         if not 0.0 <= self.b < 1.0:
             raise ConfigurationError(f"ARCH(1) needs 0 <= b < 1, got b={self.b}")
 
-    def paths(self, n: int, seeds: Sequence[Seed]) -> np.ndarray:
+    def recur(self, x: np.ndarray) -> None:
+        """Turn a (rows, lead + n) buffer of draws into ARCH(1) paths, in place from column lead on."""
         a, b = self.a, self.b
-        aa, bb = np.full(len(seeds), a * a), np.full(len(seeds), b * b)
+        aa, bb = np.full(len(x), a * a), np.full(len(x), b * b)
         mul, add, sqrt = np.multiply, np.add, np.sqrt
 
         def run(slots, tmp):
@@ -249,10 +247,8 @@ class ARCH1:
                 u2 = mul(mul(bb, prev, tmp), prev, tmp)
                 mul(sqrt(add(aa, u2, tmp), tmp), cur, cur)
 
-        x = _draws(seeds, n, 1 + ARCH_BURN_IN)
         x[:, 0] *= a / math.sqrt(1.0 - b * b)
-        _recur_in_place(x, run, keep=ARCH_BURN_IN + 1)
-        return x[:, ARCH_BURN_IN + 1 :]
+        _recur_in_place(x, run, self.lead)
 
     def as_dict(self) -> dict:
         return {"process": "arch1", "a": self.a, "b": self.b}
@@ -314,7 +310,7 @@ def _draws(seeds: Sequence[Seed], n: int, lead: int) -> np.ndarray:
     return out
 
 
-def _recur_in_place(x: np.ndarray, run, keep: int = 1) -> None:
+def _recur_in_place(x: np.ndarray, run, keep: int) -> None:
     """Run a process's time recursion over x's columns 1, 2, ... in one pass; x holds them from column keep on.
 
     Time runs in tiles of _TILE steps. Each tile is copied transposed,
@@ -346,14 +342,17 @@ def _recur_in_place(x: np.ndarray, run, keep: int = 1) -> None:
 def generate_paths(process: ProcessSpec, n: int, seeds: Sequence[Seed]) -> np.ndarray:
     """One path per seed, stacked as rows of an (len(seeds), n) array.
 
-    Row r is bit-identical to the single-path generator called with
-    seeds[r]; batching exists only to let the time recursions run
-    vectorized across paths. For AR(1) and ARCH(1) the result is a view
-    of the draws (see Batching in the module docstring).
+    Draws, then runs the process's recursion if it has one; the result,
+    the columns from lead on, is a view of the draws (see Batching in the
+    module docstring). Row r is bit-identical to the single-path
+    generator called with seeds[r].
     """
-    if not hasattr(process, "paths"):
+    if not hasattr(process, "lead"):
         raise ConfigurationError(f"process {process!r} does not generate scalar paths")
-    return process.paths(n, seeds)
+    x = _draws(seeds, n, process.lead)
+    if hasattr(process, "recur"):
+        process.recur(x)
+    return x[:, process.lead :]
 
 
 def gen_iid_normal(n: int, seed: Seed) -> np.ndarray:

@@ -570,9 +570,15 @@ class TestConfigResolution:
             (["test", "{tmp}/panel.csv", "--mu0", "{tmp}/bytes.csv"], 2, "bytes.csv: not a readable CSV file"),
             (["ci", "{tmp}/wide.csv"], 2, "wide.csv: not a readable CSV file: field larger than field limit"),
             (["simulate", "--config", "{tmp}/bytes.cfg"], 1, "cannot read config file"),
+            (
+                ["simulate", "--process", "iid", "--n", "-5", "--stat", "i-star", "--m", "5", "--reps", "10"],
+                1,
+                "path length n must be >= 1, got -5",
+            ),
         ],
         ids=["no-process", "no-stat", "rho-and-rho-grid", "no-m1-m2", "no-m", "config-line-without-equals",
-             "unreadable-config", "2-d-mu0", "undecodable-mu0", "oversized-cell", "undecodable-config"],
+             "unreadable-config", "2-d-mu0", "undecodable-mu0", "oversized-cell", "undecodable-config",
+             "negative-n"],
     )
     def test_usage_mistake_ends_in_one_line(self, capsys, panel_csv, tmp_path, argv, code, message):
         (tmp_path / "run.cfg").write_text("process = iid\nstat i-star\n")

@@ -64,6 +64,9 @@ class TestConfigValidation:
     def test_reps_positive(self):
         with pytest.raises(ConfigurationError):
             _config(reps=0)
+        for n in (0, -5):  # a path length is checked by name before the kernel compares it with the scheme
+            with pytest.raises(ConfigurationError, match=f"path length n must be >= 1, got {n}"):
+                _config(n=n)
 
     def test_stat_scheme_mismatch(self):
         with pytest.raises(ConfigurationError):
@@ -647,7 +650,7 @@ class TestChunkSize:
                 assert np.array_equal(simulate_stats(cfg, workers=workers), values)
                 if workers == 1:
                     chunks = [hi - lo for lo, hi in mc._chunk_bounds(cfg.reps)]
-                    if process.recursive:  # whole chunks, whatever the band size
+                    if hasattr(process, "recur"):  # whole chunks, whatever the band size
                         assert drawn == 2 * chunks
                     else:
                         band = max(1, mc._BAND_BYTES // (8 * cfg.n))

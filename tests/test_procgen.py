@@ -208,6 +208,15 @@ class TestAgainstReferenceLoops:
         none = generate_paths(process, 70, [])
         assert none.shape == (0, 70)
 
+    @pytest.mark.parametrize("rows", [1, 131, _CHUNK_REPS])  # one path, one iid band at n = 1000, one chunk
+    @pytest.mark.parametrize("n", [1, 7, 999, 1000, 1001])
+    @pytest.mark.parametrize(
+        "process", [IIDNormal(), AR1(0.9), ARCH1(b=0.9)], ids=["iid", "ar1", "arch1"]
+    )
+    def test_chunk_rows_and_lengths(self, process, n, rows):
+        seeds = derive_rep_seed(31, range(rows))
+        assert np.array_equal(generate_paths(process, n, seeds), _reference_paths(process, n, seeds))
+
     def test_worker_count_never_changes_an_arch_table(self):
         cfg = SimConfig(
             process=ARCH1(b=0.6),
@@ -253,6 +262,44 @@ class TestArchSegments:
         assert np.array_equal(batch, _reference_paths(ARCH1(b=0.9), n, seeds))
 
 
+class TestRecurOverGivenDraws:
+    """A recursion turns any given draws into paths, as a per-step float loop over the same numbers would."""
+
+    @staticmethod
+    def _float_loop(process, row):
+        """The path from one row of draws, one Python float operation at a time."""
+        first, *innovations = row.tolist()
+        steps = []
+        if isinstance(process, AR1):
+            rho = process.rho
+            state = first / math.sqrt(1.0 - rho * rho)
+            for eps in innovations:
+                state = rho * state + eps
+                steps.append(state)
+        else:
+            a, b = process.a, process.b
+            state = first * (a / math.sqrt(1.0 - b * b))
+            for eps in innovations:
+                state = math.sqrt(a * a + b * b * state * state) * eps
+                steps.append(state)
+        return steps[process.lead - 1 :]
+
+    @pytest.mark.parametrize("n", [1, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 1])
+    @pytest.mark.parametrize(
+        "process",
+        [AR1(-0.6), AR1(0.9), ARCH1(b=0.0, a=2.5), ARCH1(b=0.9)],
+        ids=["rho<0", "rho=0.9", "b=0,a=2.5", "b=0.9"],
+    )
+    def test_recur_matches_a_float_loop(self, process, n):
+        # three rows of hand-made draws in [-1, 1], no generator involved
+        cols = process.lead + n
+        x = ((np.arange(3 * cols).reshape(3, cols) * 37 + 11) % 201 - 100) / 100.0
+        draws = x.copy()
+        assert process.recur(x) is None
+        for row in range(3):
+            assert x[row, process.lead :].tolist() == self._float_loop(process, draws[row])
+
+
 @pytest.mark.parametrize(
     "process, n, widest",
     [
@@ -294,7 +341,7 @@ def test_draw_buffers_hold_one_chunk_at_most(monkeypatch, process):
     cfg = SimConfig(process, 1000, Interlace(50), "InStar", 2 * _CHUNK_REPS + 1, 0, x_grid=(1.0,))
     estimate_tail(cfg, workers=1)
     rows = [r for r, _ in shapes]
-    if process.recursive:  # the recursion runs across a whole chunk's rows
+    if hasattr(process, "recur"):  # the recursion runs across a whole chunk's rows
         assert rows == [_CHUNK_REPS, _CHUNK_REPS, 1]
     else:  # one band of at most _BAND_BYTES of draws at a time
         band = _BAND_BYTES // (8 * 1000)
@@ -481,7 +528,7 @@ class TestParameterValidation:
             lambda seed: gen_arch1(4, 1.0, 0.5, seed),
             lambda seed: gen_hd_linear(4, HDLinear(p=2, decay=0.5, lag_cap=3), seed),
             lambda seed: generate_paths(IIDNormal(), 4, [1, seed]),
-            lambda seed: ARCH1(b=0.5).paths(4, [1, seed]),
+            lambda seed: generate_paths(ARCH1(b=0.5), 4, [1, seed]),
             lambda seed: derive_rep_seed(seed, 0),
         ],
         ids=["iid", "ar1", "arch1", "hd-linear", "generate_paths", "arch1-paths", "derive_rep_seed"],
@@ -503,11 +550,10 @@ class TestParameterValidation:
             lambda n: gen_arch1(n, 1.0, 0.5, 1),
             lambda n: gen_hd_linear(n, HDLinear(p=2, decay=0.5, lag_cap=3), 1),
             lambda n: generate_paths(IIDNormal(), n, [1]),
-            lambda n: IIDNormal().paths(n, [1]),
-            lambda n: AR1(0.5).paths(n, [1]),
-            lambda n: ARCH1(b=0.5).paths(n, [1]),
+            lambda n: generate_paths(AR1(0.5), n, [1]),
+            lambda n: generate_paths(ARCH1(b=0.5), n, [1]),
         ],
-        ids=["iid", "ar1", "arch1", "hd-linear", "generate_paths", "iid-paths", "ar1-paths", "arch1-paths"],
+        ids=["iid", "ar1", "arch1", "hd-linear", "generate_paths", "ar1-paths", "arch1-paths"],
     )
     def test_lengths_are_integers(self, call):
         for n in (4.0, True, 2.5):
