@@ -175,13 +175,17 @@ def batch_partition(n: int, m: int) -> BlockPartition:
 
 
 def tagged_sums(x: np.ndarray, scheme: BlockScheme, k: int, tag: str) -> np.ndarray:
-    """Sums over the tag's windows in the first k periods of each row of x, in index order."""
+    """The tag's window sums in the first k periods of each row of x, in index order; overflow is a DataError."""
     period, windows = scheme.layout()
     cut = x[:, : k * period].reshape(x.shape[0], k, period)
-    sums = [cut[:, :, offset : offset + length].sum(axis=2) for t, offset, length in windows if t == tag]
+    with np.errstate(over="ignore"):
+        sums = [cut[:, :, offset : offset + length].sum(axis=2) for t, offset, length in windows if t == tag]
     if not sums:
         raise ConfigurationError(f"tag {tag!r} does not exist in scheme {scheme.as_dict()['scheme']!r}")
-    return np.stack(sums, axis=2).reshape(x.shape[0], -1)
+    y = np.stack(sums, axis=2).reshape(x.shape[0], -1)
+    if not np.isfinite(y).all():
+        raise DataError("block sums overflow double range")
+    return y
 
 
 def scale_exponent(y: np.ndarray) -> np.ndarray:

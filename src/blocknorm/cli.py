@@ -314,9 +314,9 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--process", choices=list(PROCESS_BY_NAME), help="path generator")
     p.add_argument("--rho", type=float, help="AR(1) coefficient")
-    p.add_argument("--rho-grid", help="AR(1) coefficient grid start:stop:step")
+    p.add_argument("--rho-grid", help="AR(1) coefficient grid start:stop:step (--rho-grid=-0.5:... if negative)")
     p.add_argument("--b", type=float, help="ARCH(1) coefficient")
-    p.add_argument("--b-grid", help="ARCH(1) coefficient grid start:stop:step")
+    p.add_argument("--b-grid", help="ARCH(1) coefficient grid start:stop:step (--b-grid=... if negative)")
     p.add_argument("--a", type=float, help=f"ARCH(1) scale (default {ARCH1.a:g})")
     p.add_argument("--n", type=int, default=1000, help="path length (default %(default)s)")
     p.add_argument("--stat", choices=list(STAT_KIND_BY_FLAG), help="statistic")
@@ -326,7 +326,7 @@ def build_parser() -> _Parser:
     p.add_argument("--mu0", type=float, default=0.0, help="null mean per observation (default %(default)s)")
     p.add_argument("--reps", type=int, default=DEFAULT_REPS, help="replications (default %(default)s)")
     p.add_argument("--seed", type=int, default=0, help="64-bit master seed (default %(default)s)")
-    p.add_argument("--x", help="threshold grid start:stop:step (default: the table1 grid)")
+    p.add_argument("--x", help="threshold grid start:stop:step (--x=-1:... if negative; default: the table1 grid)")
     p.add_argument("--format", choices=["csv", "json"], default="csv", help="format (default %(default)s)")
     p.add_argument("--workers", type=int,
                    help="worker processes, at most one per chunk and per CPU (default $BLOCKNORM_WORKERS or 1)")

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, as_index, as_real_array
+from .errors import DomainError, as_index, as_real, as_real_array
 
 _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -212,11 +212,8 @@ def ref_quantile(dist: RefDist, p: float) -> float:
     and raises DomainError. Results are memoized per (dist, p); a bad p
     raises on every call.
     """
-    try:
-        p = float(p)
-    except (TypeError, ValueError):
-        pass  # the message below names p as given
-    if not (isinstance(p, float) and 0.0 < p < 1.0):
+    p = as_real(p, "probability", DomainError)
+    if not 0.0 < p < 1.0:
         raise DomainError(f"probability must lie strictly in (0, 1), got {p!r}")
     return _invert(dist, p)
 

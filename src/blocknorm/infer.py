@@ -25,8 +25,8 @@ recorded decisions.
 
 Each coordinate's block sums are scaled by the power of two that
 brings their largest |Y| below 1, and centers and halfwidths are
-scaled back; both steps are exact, so the intervals are exactly
-equivariant under scaling by a power of two.
+scaled back; both steps are exact, so the intervals are exactly equivariant
+under scaling by a power of two. Block sums that overflow raise DataError.
 """
 
 from __future__ import annotations

@@ -225,9 +225,7 @@ class ARCH1:
 
     def __post_init__(self) -> None:
         for name in ("a", "b"):
-            object.__setattr__(self, name, as_real(getattr(self, name), name, ConfigurationError))
-        if not 0.0 < self.a < math.inf:
-            raise ConfigurationError(f"ARCH(1) needs a finite a > 0, got a={self.a}")
+            object.__setattr__(self, name, as_real(getattr(self, name), name, ConfigurationError, finite=True))
         if not 2.0**-511 <= self.a < 2.0**500:
             raise ConfigurationError(
                 f"ARCH(1) needs 2^-511 <= a < 2^500 so that a*a is a normal double with 2^12 "

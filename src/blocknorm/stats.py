@@ -27,8 +27,8 @@ that ratio by sqrt(k/(k-1)).
 
 Block sums are scaled by the power of two that brings each row's
 largest |Y| below 1 before they are squared (one power for both samples
-of TwoSampleW). The scaling is exact, so the statistics keep their bits
-and stay finite on data near the ends of double range.
+of TwoSampleW). The scaling is exact, so the statistics keep their bits;
+finite data whose block sums overflow double range raises DataError.
 
 Every statistic raises DegenerateDenominatorError, not an infinity, when
 its denominator vanishes (all block sums zero, or all equal for the
@@ -203,7 +203,7 @@ def w_n(series, m1: int, m2: int) -> StatValue:
 
 def w_n_star(series, m1: int, m2: int, mu: float = 0.0) -> StatValue:
     """Student t statistic of the big-block sums against block mean m1*mu."""
-    return _scalar("WnStar", BigSmall(m1, m2), series, as_real(mu, "mu", ConfigurationError))
+    return _scalar("WnStar", BigSmall(m1, m2), series, as_real(mu, "mu", ConfigurationError, finite=True))
 
 
 def i_n(series, m: int) -> StatValue:
@@ -217,7 +217,7 @@ def i_n(series, m: int) -> StatValue:
 
 def i_n_star(series, m: int, mu: float = 0.0) -> StatValue:
     """Student t statistic of the odd interlaced block sums."""
-    return _scalar("InStar", Interlace(m), series, as_real(mu, "mu", ConfigurationError))
+    return _scalar("InStar", Interlace(m), series, as_real(mu, "mu", ConfigurationError, finite=True))
 
 
 def t_n_star(series, m: int) -> StatValue:

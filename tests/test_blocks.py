@@ -145,6 +145,10 @@ class TestBlockSums:
         with pytest.raises(DataError, match="series must be finite, got nan"):
             block_sums(series, interlace_partition(8, 2), "odd")
 
+    def test_finite_series_whose_sums_overflow_rejected(self):
+        with pytest.raises(DataError, match="block sums overflow double range"):
+            block_sums(np.full(8, 2.0**1023), interlace_partition(8, 2), "odd")
+
     def test_batch_of_one_row_rejected(self):
         with pytest.raises(DataError, match=r"series must be 1-D, got shape \(1, 8\)"):
             block_sums(np.zeros((1, 8)), interlace_partition(8, 2), "odd")

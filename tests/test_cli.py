@@ -531,6 +531,15 @@ class TestConfigResolution:
         assert payload["rows"]["x"] == [-1.0, -0.5, 0.0, 0.5, 1.0]
         assert payload["metadata"]["config"]["mu0"] == -0.5
 
+    def test_flag_grids_with_a_leading_minus_take_the_equals_form(self, capsys):
+        code, out, err = _run(
+            capsys, "simulate", "--process", "ar1", "--rho-grid=-0.5:0.5:0.5", "--stat", "i-star", "--m", "5",
+            "--n", "100", "--reps", "10", "--x=-1:1:1", "--format", "json",
+        )
+        assert code == 0, err
+        config = json.loads(out)["manifest"]["config"]["config"]
+        assert (config["x_grid"], config["rho"]) == ([-1.0, 0.0, 1.0], [-0.5, 0.0, 0.5])
+
     @pytest.mark.parametrize("line", ["format = xml", "process = foo", "stat = z"])
     def test_file_values_are_checked_against_choices(self, capsys, tmp_path, line):
         cfg = tmp_path / "run.cfg"
@@ -575,10 +584,17 @@ class TestConfigResolution:
                 1,
                 "path length n must be >= 1, got -5",
             ),
+            (["ci", "{tmp}/huge.csv"], 2, "block sums overflow double range"),
+            (
+                ["simulate", "--process", "iid", "--stat", "i-star", "--m", "5", "--n", "100", "--reps", "10",
+                 "--x", "-1:1:1"],
+                1,
+                "argument --x: expected one argument",
+            ),
         ],
         ids=["no-process", "no-stat", "rho-and-rho-grid", "no-m1-m2", "no-m", "config-line-without-equals",
              "unreadable-config", "2-d-mu0", "undecodable-mu0", "oversized-cell", "undecodable-config",
-             "negative-n"],
+             "negative-n", "block-sums-overflow", "grid-with-a-leading-minus"],
     )
     def test_usage_mistake_ends_in_one_line(self, capsys, panel_csv, tmp_path, argv, code, message):
         (tmp_path / "run.cfg").write_text("process = iid\nstat i-star\n")
@@ -586,6 +602,7 @@ class TestConfigResolution:
         (tmp_path / "bytes.csv").write_bytes(b"\xff\xfe\x00bad\n")
         (tmp_path / "wide.csv").write_text("1," + "9" * 131_073 + "\n2,3\n")  # the csv module's field limit is 131,072
         (tmp_path / "bytes.cfg").write_bytes(b"\xff\xfe\x00bad = 1\n")
+        (tmp_path / "huge.csv").write_text("1e308,1e308\n" * 100)  # finite cells, block sums beyond double range
         kind = {1: "configuration error", 2: "data error"}[code]
         got, out, err = _run(capsys, *(arg.replace("{tmp}", str(tmp_path)) for arg in argv))
         assert (got, out) == (code, "")

@@ -226,9 +226,21 @@ class TestDomainErrors:
             with pytest.raises(DomainError):
                 ref_quantile(NORMAL, p)
 
-    @pytest.mark.parametrize("p", ["abc", 0.5j, [0.5], None], ids=["string", "complex", "list", "none"])
-    def test_a_probability_that_is_not_a_real_number_is_a_domain_error(self, p):
-        with pytest.raises(DomainError, match=re.escape(f"probability must lie strictly in (0, 1), got {p!r}")):
+    @pytest.mark.parametrize(
+        "p, message",
+        [
+            ("abc", "probability must be a rectangular array of real numbers: could not convert string to float"),
+            (0.5j, "probability must be a rectangular array of real numbers: got complex values"),
+            ([0.5], "probability must be a real number, got shape (1,)"),
+            (None, "probability must lie strictly in (0, 1), got nan"),
+            ("0.5", "probability must be a rectangular array of real numbers: got strings"),
+            (b"0.9", "probability must be a rectangular array of real numbers: got strings"),
+            (10**400, "probability must be a rectangular array of real numbers: int too large to convert to float"),
+        ],
+        ids=["string", "complex", "list", "none", "numeric-string", "numeric-bytes", "int-beyond-double"],
+    )
+    def test_a_probability_that_is_not_a_real_number_is_a_domain_error(self, p, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
             ref_quantile(NORMAL, p)
 
     def test_quantile_median_and_monotone(self):

@@ -103,6 +103,11 @@ class TestIntervalProperties:
         assert np.array_equal(scaled.centers, scale * ci.centers)
         assert np.array_equal(scaled.halfwidths, scale * ci.halfwidths)
 
+    def test_finite_panel_whose_block_sums_overflow_is_a_data_error(self):
+        z = (np.abs(_panel(p=2)) + 1.0) * 2.0**1020
+        with pytest.raises(DataError, match="block sums overflow double range"):
+            simultaneous_ci(z, alpha=0.05, m=8)
+
     def test_halfwidth_is_the_student_interval_times_sqrt_k_minus_1_over_k(self):
         # Known defect, pinned so that its fix changes this test on purpose: the halfwidth
         # q * sqrt(sum (Y - mean Y)^2) / (k*m) is sqrt((k-1)/k) times the interval that

@@ -179,6 +179,10 @@ class TestDegenerateAndErrors:
             w_n_star(x, 12, 3, mu=1e307)
         assert math.isfinite(w_n_star(x, 12, 3, mu=1e300).value)
 
+    def test_nan_mu_is_rejected_as_not_finite(self):
+        with pytest.raises(ConfigurationError, match="mu must be finite, got nan"):
+            i_n_star(np.arange(1.0, 101.0), 10, mu=float("nan"))
+
     def test_raw_kernel_takes_a_mu0_whose_square_overflows(self):
         # (2 * m * mu0 * sqrt(k))**2 = (20e155 * sqrt(5))**2 overflows; the scaled sums do not
         kernel = make_kernel("In", Interlace(10), 100, 1e155)
@@ -239,6 +243,24 @@ class TestInvarianceProperties:
         # squared block sums of such data leave double range; scaling by a power of two does not
         x = np.random.default_rng(43).standard_normal(240)
         assert call(scale * x, scale).value == call(x, 1.0).value
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x: w_n(x, 12, 4),
+            lambda x: w_n_star(x, 12, 4),
+            lambda x: i_n(x, 10),
+            lambda x: i_n_star(x, 10),
+            lambda x: t_n_star(x, 10),
+            lambda x: two_sample_w(TwoSampleData(x[:120], x[120:]), 12, 4),
+        ],
+        ids=["w_n", "w_n_star", "i_n", "i_n_star", "t_n_star", "two_sample_w"],
+    )
+    def test_finite_data_whose_block_sums_overflow_is_a_data_error(self, call):
+        # same-sign data near 2^1021: each value is finite, every block sum of 10 or 12 is not
+        x = (np.abs(np.random.default_rng(43).standard_normal(240)) + 1.0) * 2.0**1020
+        with pytest.raises(DataError, match="block sums overflow double range"):
+            call(x)
 
     def test_positive_scale_invariance(self):
         rng = np.random.default_rng(17)
