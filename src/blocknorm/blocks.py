@@ -188,14 +188,16 @@ def tagged_sums(x: np.ndarray, scheme: BlockScheme, k: int, tag: str) -> np.ndar
     return y
 
 
-def scale_exponent(y: np.ndarray) -> np.ndarray:
-    """Per row of block sums, the exponent e that puts max |Y| * 2^-e in [0.5, 1).
+def unit_scale(y: np.ndarray) -> np.ndarray:
+    """Scale each row of block sums in place by 2^-e, e putting its largest |Y| in [0.5, 1); return e.
 
-    Scaling by 2^-e is exact, so a scale-free statistic computed from the
-    scaled sums keeps its bits, and their squares can neither overflow nor
+    The scaling is exact, so a scale-free statistic of the scaled sums keeps
+    its bits, and the sum of their squares can neither overflow nor
     underflow. An all-zero row gets e = 0.
     """
-    return np.frexp(np.abs(y).max(axis=-1))[1]
+    e = np.frexp(np.abs(y).max(axis=-1))[1]
+    np.ldexp(y, -e[..., np.newaxis], out=y)
+    return e
 
 
 def interlace_sums_matrix(x: np.ndarray, m: int, k: int) -> np.ndarray:

@@ -277,10 +277,7 @@ def _read_mu0(path: str, p: int) -> np.ndarray:
     arr = read_panel_csv(path)
     if arr.shape[0] != 1 and arr.shape[1] != 1:
         raise DataError(f"{path}: expected one row or one column of {p} values, got shape {arr.shape}")
-    vec = arr.ravel()
-    if vec.size != p:
-        raise DataError(f"{path}: mu0 has {vec.size} values but the panel has {p} coordinates")
-    return vec
+    return arr.ravel()  # mean_test checks its length
 
 
 def _cmd_test(args: argparse.Namespace, argv: list[str]) -> int:

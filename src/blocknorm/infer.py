@@ -23,10 +23,11 @@ i_n_star does not. This is a known defect, kept for now because
 widening the intervals changes the panel-coverage benchmark's
 recorded decisions.
 
-Each coordinate's block sums are scaled by the power of two that
-brings their largest |Y| below 1, and centers and halfwidths are
-scaled back; both steps are exact, so the intervals are exactly equivariant
-under scaling by a power of two. Block sums that overflow raise DataError.
+Each coordinate's block sums are scaled by ``blocks.unit_scale`` and
+centers and halfwidths scaled back, both exactly, so the intervals are
+exactly equivariant under scaling by a power of two. Block sums or bounds
+center +- halfwidth that overflow raise DataError; a mu0 whose distance
+from a center overflows lies outside that interval.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import Interlace, interlace_sums_matrix, periods, scale_exponent
+from .blocks import Interlace, interlace_sums_matrix, periods, unit_scale
 from .dist import NORMAL, RefDist, ref_quantile, student_t
 from .errors import ConfigurationError, DataError, as_real, as_real_array
 
@@ -122,15 +123,19 @@ def simultaneous_ci(panel, alpha: float, m: int | None = None, use_t: bool = Tru
 
     # odd block sums per coordinate: treat columns as rows of a batch
     y = interlace_sums_matrix(z.T, m, k)  # (p, k)
-    e = scale_exponent(y)  # computed at unit scale, then scaled back, both exactly
-    np.ldexp(y, -e[:, np.newaxis], out=y)
+    e = unit_scale(y)  # computed at unit scale, then scaled back, both exactly
     ybar = y.mean(axis=1)
     spread = np.sqrt(((y - ybar[:, np.newaxis]) ** 2).sum(axis=1))
     source = student_t(k - 1) if use_t else NORMAL
     q = ref_quantile(source, 1.0 - alpha / (2.0 * p))
+    with np.errstate(over="ignore"):  # |center| + halfwidth is the larger |bound|
+        centers = np.ldexp(ybar / m, e)
+        halfwidths = np.ldexp(q * spread / (k * m), e)
+        if not np.isfinite(np.abs(centers) + halfwidths).all():
+            raise DataError("interval bounds overflow double range")
     return CiSet(
-        centers=np.ldexp(ybar / m, e),
-        halfwidths=np.ldexp(q * spread / (k * m), e),
+        centers=centers,
+        halfwidths=halfwidths,
         alpha=alpha,
         m=m,
         k=k,
@@ -152,7 +157,8 @@ def mean_test(panel, mu0, alpha: float, m: int | None = None, use_t: bool = True
     bad = np.nonzero(~np.isfinite(mu))[0]
     if bad.size:
         raise DataError(f"mu0 is not finite at coordinates {', '.join(str(i) for i in bad)}")
-    outside = np.abs(mu - ci.centers) > ci.halfwidths
+    with np.errstate(over="ignore"):  # a difference that overflows is +inf, outside every interval
+        outside = np.abs(mu - ci.centers) > ci.halfwidths
     violating = tuple(int(i) for i in np.nonzero(outside)[0])
     return TestResult(
         reject=bool(violating),

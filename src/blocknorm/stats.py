@@ -25,10 +25,10 @@ equal sqrt((k-1)/k) times the unscaled ratio
 sum(Y - m*mu) / sqrt(sum((Y - mean(Y))^2)): the Student form divides
 that ratio by sqrt(k/(k-1)).
 
-Block sums are scaled by the power of two that brings each row's
-largest |Y| below 1 before they are squared (one power for both samples
-of TwoSampleW). The scaling is exact, so the statistics keep their bits;
-finite data whose block sums overflow double range raises DataError.
+Each row of block sums is scaled by a power of two before it is squared,
+as ``blocks.unit_scale`` states (one row for both samples of
+TwoSampleW), so the statistics keep their bits at any scale; finite data
+whose block sums overflow double range raises DataError.
 
 Every statistic raises DegenerateDenominatorError, not an infinity, when
 its denominator vanishes (all block sums zero, or all equal for the
@@ -51,8 +51,8 @@ from .blocks import (
     BlockScheme,
     Interlace,
     periods,
-    scale_exponent,
     tagged_sums,
+    unit_scale,
 )
 from .dist import NORMAL, RefDist, student_t
 from .errors import ConfigurationError, DataError, DegenerateDenominatorError, as_real, as_real_array
@@ -88,7 +88,7 @@ class TwoSampleData:
 
 def _selfnorm_rows(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sum(Y)/sqrt(sum(Y^2)) per row, with an all-zero degeneracy mask; scales y in place."""
-    np.ldexp(y, -scale_exponent(y)[:, np.newaxis], out=y)
+    unit_scale(y)
     degenerate = np.all(y == 0.0, axis=1)
     num = y.sum(axis=1)
     den = np.sqrt((y * y).sum(axis=1))
@@ -99,8 +99,7 @@ def _selfnorm_rows(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _student_rows(y: np.ndarray, hyp_block_mean: float) -> tuple[np.ndarray, np.ndarray]:
     """One-sample t statistic per row of block sums; degenerate when all sums tie. Scales y in place."""
     k = y.shape[1]
-    e = scale_exponent(y)
-    np.ldexp(y, -e[:, np.newaxis], out=y)
+    e = unit_scale(y)
     hyp_block_mean = np.ldexp(hyp_block_mean, -e)
     degenerate = y.max(axis=1) == y.min(axis=1)
     sd = y.std(axis=1, ddof=1)
@@ -123,7 +122,6 @@ class StatKernel:
 
     kind: str
     scheme: BlockScheme
-    n: int
     k: int
     tag: str
     n_sums: int
@@ -174,7 +172,6 @@ def make_kernel(kind: str, scheme: BlockScheme, n: int, mu0: float = 0.0) -> Sta
     return StatKernel(
         kind=kind,
         scheme=scheme,
-        n=n,
         k=k,
         tag=tag,
         n_sums=n_sums,
@@ -248,11 +245,9 @@ def two_sample_w(data: TwoSampleData, m1: int, m2: int) -> StatValue:
         raise ConfigurationError(
             f"each sample needs at least one full block pair: k1={k1}, k2={k2}"
         )
-    y1 = tagged_sums(x1[np.newaxis, :], scheme, k1, "big")[0]
-    y2 = tagged_sums(x2[np.newaxis, :], scheme, k2, "big")[0]
-    e = max(scale_exponent(y1), scale_exponent(y2))  # one power for both keeps their ratio
-    np.ldexp(y1, -e, out=y1)
-    np.ldexp(y2, -e, out=y2)
+    y = np.concatenate([tagged_sums(x[np.newaxis, :], scheme, x.size // period, "big")[0] for x in (x1, x2)])
+    unit_scale(y)  # one power for both samples keeps their ratio
+    y1, y2 = y[:k1], y[k1:]
     v1_sq = float((y1 * y1).sum())
     v2_sq = float((y2 * y2).sum())
     if v1_sq == 0.0 and v2_sq == 0.0:

@@ -432,7 +432,14 @@ class TestCiAndTestCommands:
         mu0.write_text("1,2\n")
         code, _, err = _run(capsys, "test", str(panel_csv), "--mu0", str(mu0))
         assert code == 2
-        assert "data error" in err
+        assert err == "blocknorm: data error: mu0 has shape (2,) but the panel has 3 coordinates\n"
+
+    def test_test_checks_m_before_the_mu0_length(self, capsys, panel_csv, tmp_path):
+        mu0 = tmp_path / "mu0.csv"
+        mu0.write_text("1,2\n")
+        code, _, err = _run(capsys, "test", str(panel_csv), "--mu0", str(mu0), "--m", "100")
+        assert code == 1
+        assert err.startswith("blocknorm: configuration error: ")
 
 
 class TestTopLevel:
@@ -585,6 +592,7 @@ class TestConfigResolution:
                 "path length n must be >= 1, got -5",
             ),
             (["ci", "{tmp}/huge.csv"], 2, "block sums overflow double range"),
+            (["ci", "{tmp}/wide-interval.csv", "--m", "1"], 2, "interval bounds overflow double range"),
             (
                 ["simulate", "--process", "iid", "--stat", "i-star", "--m", "5", "--n", "100", "--reps", "10",
                  "--x", "-1:1:1"],
@@ -594,7 +602,7 @@ class TestConfigResolution:
         ],
         ids=["no-process", "no-stat", "rho-and-rho-grid", "no-m1-m2", "no-m", "config-line-without-equals",
              "unreadable-config", "2-d-mu0", "undecodable-mu0", "oversized-cell", "undecodable-config",
-             "negative-n", "block-sums-overflow", "grid-with-a-leading-minus"],
+             "negative-n", "block-sums-overflow", "interval-bounds-overflow", "grid-with-a-leading-minus"],
     )
     def test_usage_mistake_ends_in_one_line(self, capsys, panel_csv, tmp_path, argv, code, message):
         (tmp_path / "run.cfg").write_text("process = iid\nstat i-star\n")
@@ -603,6 +611,7 @@ class TestConfigResolution:
         (tmp_path / "wide.csv").write_text("1," + "9" * 131_073 + "\n2,3\n")  # the csv module's field limit is 131,072
         (tmp_path / "bytes.cfg").write_bytes(b"\xff\xfe\x00bad = 1\n")
         (tmp_path / "huge.csv").write_text("1e308,1e308\n" * 100)  # finite cells, block sums beyond double range
+        (tmp_path / "wide-interval.csv").write_text("1.7e308\n0\n-1.7e308\n0\n")  # finite sums, infinite halfwidth
         kind = {1: "configuration error", 2: "data error"}[code]
         got, out, err = _run(capsys, *(arg.replace("{tmp}", str(tmp_path)) for arg in argv))
         assert (got, out) == (code, "")

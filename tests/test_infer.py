@@ -108,6 +108,12 @@ class TestIntervalProperties:
         with pytest.raises(DataError, match="block sums overflow double range"):
             simultaneous_ci(z, alpha=0.05, m=8)
 
+    def test_interval_bounds_that_overflow_are_a_data_error(self):
+        # the block sums 1.7e308 and -1.7e308 are finite, but the t1 halfwidth about them is not
+        z = np.array([[1.7e308], [0.0], [-1.7e308], [0.0]])
+        with pytest.raises(DataError, match="interval bounds overflow double range"):
+            simultaneous_ci(z, alpha=0.05, m=1)
+
     def test_halfwidth_is_the_student_interval_times_sqrt_k_minus_1_over_k(self):
         # Known defect, pinned so that its fix changes this test on purpose: the halfwidth
         # q * sqrt(sum (Y - mean Y)^2) / (k*m) is sqrt((k-1)/k) times the interval that
@@ -181,6 +187,10 @@ class TestMeanTest:
             mean_test(_panel(p=5), bad_mu0, alpha=2.0, m=8)
         with pytest.raises(DataError, match="mu0 has shape"):
             mean_test(_panel(p=5), bad_mu0, alpha=0.05, m=8)
+
+    def test_mu0_whose_distance_from_a_center_overflows_is_outside(self):
+        result = mean_test(np.full((8, 1), -1e308), np.array([1e308]), alpha=0.05, m=1)
+        assert result.reject and result.violating_coordinates == (0,)
 
     def test_non_finite_mu0_names_the_coordinates(self):
         mu0 = np.array([0.0, np.nan, 0.0, np.inf, -np.inf])

@@ -236,8 +236,9 @@ class TestInvarianceProperties:
             lambda x, c: i_n_star(x, 10, 0.1 * c),
             lambda x, c: t_n_star(x, 10),
             lambda x, c: two_sample_w(TwoSampleData(x[:120], x[120:] + c), 12, 4),
+            lambda x, c: two_sample_w(TwoSampleData(x[:120], 2.0**40 * x[120:]), 12, 4),
         ],
-        ids=["w_n", "w_n_star", "i_n", "i_n_star", "t_n_star", "two_sample_w"],
+        ids=["w_n", "w_n_star", "i_n", "i_n_star", "t_n_star", "two_sample_w", "two_sample_w-2^40-apart"],
     )
     def test_exact_invariance_at_extreme_scales(self, call, scale):
         # squared block sums of such data leave double range; scaling by a power of two does not
