@@ -14,11 +14,11 @@ stdout prints it to stderr.
 
 The parser alone states each option's type, default and choices. A
 ``--config`` file of flat ``key = value`` lines (keys: long flag names of
-any subcommand) is parsed as ``--key=value`` tokens ahead of the command
+any subcommand; a ``#`` at a line's start or after whitespace begins a
+comment) is parsed as ``--key=value`` tokens ahead of the command
 line, so flags beat file values beat defaults. Every usage mistake is a
-configuration error. The worker count falls back to the
-BLOCKNORM_WORKERS environment variable and never affects the numbers,
-only the schedule.
+configuration error. The worker count never affects the numbers, only
+the schedule.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import argparse
 import dataclasses
 import json
 import math
-import os
+import re
 import sys
 import time
 import traceback
@@ -66,7 +66,7 @@ MAX_GRID_POINTS = 100_000  # parse_grid rejects grids with more points
 
 
 def parse_grid(text: str) -> list[float]:
-    """Parse ``start:stop:step`` into an inclusive grid (1e-9 slack), or one float."""
+    """Parse ``start:stop:step`` into an inclusive grid (1e-9 slack, 12 decimals, distinct), or one float."""
     try:
         parts = [float(p) for p in text.split(":")]
     except ValueError:
@@ -85,7 +85,10 @@ def parse_grid(text: str) -> list[float]:
     span = (stop - start) / step + 1e-9  # inf when the quotient overflows
     if span >= MAX_GRID_POINTS:
         raise ConfigurationError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
-    return [round(start + i * step, 12) for i in range(int(span) + 1)]
+    points = [round(start + i * step, 12) for i in range(int(span) + 1)]
+    if any(b <= a for a, b in zip(points, points[1:])):
+        raise ConfigurationError(f"grid {text!r} has points that merge when rounded to 12 decimals")
+    return points
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -93,7 +96,7 @@ def _read_config_file(path: str) -> dict[str, str]:
     try:
         with open(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
+                line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()  # '#' in a value is kept
                 if not line:
                     continue
                 if "=" not in line:
@@ -125,14 +128,6 @@ def _config_tokens(path: str, command: str, options: dict[str, dict[str, argpars
         elif action is not None:
             tokens.append(f"--{key}={value}")  # '=' keeps values such as -1:1:0.5 whole
     return tokens
-
-
-def _workers(args: argparse.Namespace) -> int:
-    env = os.environ.get("BLOCKNORM_WORKERS") or "1"
-    try:
-        return int(env) if args.workers is None else args.workers
-    except ValueError:
-        raise ConfigurationError(f"BLOCKNORM_WORKERS = {env!r} is not a valid int") from None
 
 
 def _manifest(argv: list[str], config: dict, master_seed, started: float) -> dict:
@@ -228,16 +223,15 @@ def _cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
         x_grid=DEFAULT_X_GRID if args.x is None else tuple(parse_grid(args.x)),
         mu0=args.mu0,
     )
-    workers = _workers(args)
     meta = run_metadata(config)
 
     if param_grid is not None:
-        grid = ratio_grid(config, param_grid, workers=workers)
+        grid = ratio_grid(config, param_grid, workers=args.workers)
         csv_text = ratio_grid_csv(grid)
         payload = ratio_grid_payload(grid)
         meta["config"][grid.param_name] = list(grid.param_values)  # the grid, not the base config's 0.0
     else:
-        table = estimate_tail(config, workers=workers)
+        table = estimate_tail(config, workers=args.workers)
         csv_text = tail_table_csv(table)
         payload = tail_table_payload(table)
 
@@ -325,8 +319,8 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0, help="64-bit master seed (default %(default)s)")
     p.add_argument("--x", help="threshold grid start:stop:step (--x=-1:... if negative; default: the table1 grid)")
     p.add_argument("--format", choices=["csv", "json"], default="csv", help="format (default %(default)s)")
-    p.add_argument("--workers", type=int,
-                   help="worker processes, at most one per chunk and per CPU (default $BLOCKNORM_WORKERS or 1)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes, at most one per chunk and per CPU (default %(default)s)")
     p.set_defaults(handler=_cmd_simulate)
 
     for name, handler, summary in (

@@ -215,29 +215,18 @@ class TestSimulateCommand:
         code, _, _ = _run(capsys, "simulate", "--process", "iid", "--nonsense", "1")
         assert code == 1
 
-    def test_workers_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("BLOCKNORM_WORKERS", "2")
+    def test_workers_env_is_ignored(self, capsys, monkeypatch):
         args = [
             "simulate", "--process", "iid", "--stat", "t-star", "--m", "10",
             "--n", "100", "--reps", "30", "--seed", "9", "--x", "2.0:2.0:1.0",
         ]
+        monkeypatch.delenv("BLOCKNORM_WORKERS", raising=False)
+        code, out_plain, _ = _run(capsys, *args)
+        assert code == 0
+        monkeypatch.setenv("BLOCKNORM_WORKERS", "abc")  # --workers alone sets the count
         code, out_env, _ = _run(capsys, *args)
         assert code == 0
-        monkeypatch.delenv("BLOCKNORM_WORKERS")
-        code, out_one, _ = _run(capsys, *args)
-        assert code == 0
-        assert out_env == out_one  # worker count never changes the numbers
-
-    def test_non_numeric_workers_env_is_a_configuration_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("BLOCKNORM_WORKERS", "abc")
-        code, _, err = _run(
-            capsys, "simulate", "--process", "iid", "--stat", "t-star", "--m", "10",
-            "--n", "100", "--reps", "30", "--seed", "9",
-        )
-        assert code == 1
-        assert "configuration error" in err
-        assert "BLOCKNORM_WORKERS" in err and "'abc'" in err
-        assert "Traceback" not in err
+        assert out_env == out_plain
 
     def test_malformed_config_value_is_a_configuration_error(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -599,10 +588,29 @@ class TestConfigResolution:
                 1,
                 "argument --x: expected one argument",
             ),
+            (
+                ["simulate", "--process", "ar1", "--rho-grid=0:1e-12:4e-13", "--stat", "i-star", "--m", "5",
+                 "--n", "100", "--reps", "10"],
+                1,
+                "grid '0:1e-12:4e-13' has points that merge when rounded to 12 decimals",
+            ),
+            (
+                ["simulate", "--process", "ar1", "--rho-grid=0.1:0.1000000000003:1e-13", "--stat", "i-star",
+                 "--m", "5", "--n", "100", "--reps", "10"],
+                1,
+                "grid '0.1:0.1000000000003:1e-13' has points that merge when rounded to 12 decimals",
+            ),
+            (
+                ["simulate", "--process", "iid", "--stat", "i-star", "--m", "5", "--n", "100", "--reps", "10",
+                 "--x=0:1e-12:1e-13"],
+                1,
+                "grid '0:1e-12:1e-13' has points that merge when rounded to 12 decimals",
+            ),
         ],
         ids=["no-process", "no-stat", "rho-and-rho-grid", "no-m1-m2", "no-m", "config-line-without-equals",
              "unreadable-config", "2-d-mu0", "undecodable-mu0", "oversized-cell", "undecodable-config",
-             "negative-n", "block-sums-overflow", "interval-bounds-overflow", "grid-with-a-leading-minus"],
+             "negative-n", "block-sums-overflow", "interval-bounds-overflow", "grid-with-a-leading-minus",
+             "rho-grid-points-merge", "rho-grid-points-all-merge", "x-grid-points-merge"],
     )
     def test_usage_mistake_ends_in_one_line(self, capsys, panel_csv, tmp_path, argv, code, message):
         (tmp_path / "run.cfg").write_text("process = iid\nstat i-star\n")
@@ -628,6 +636,18 @@ class TestConfigResolution:
         assert code == 0, err
         config = json.loads(out)["metadata"]["config"]
         assert (config["process"], config["stat"], config["m"], config["master_seed"]) == ("iid", "i-star", 10, 6)
+
+    def test_hash_inside_a_config_value_is_kept(self, capsys, tmp_path):
+        out_path = tmp_path / "run#2.json"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"process = iid\nstat = i-star\nm = 10\nn = 100\nreps = 10\nformat = json  # comment\n"
+            f"output = {out_path}\n"
+        )
+        code, out, err = _run(capsys, "simulate", "--config", str(cfg))
+        assert (code, out, err) == (0, "", "")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run#2.json", "run.cfg"]
+        assert json.loads(out_path.read_text())["metadata"]["config"]["stat"] == "i-star"
 
     @pytest.mark.parametrize("a", ["1e160", "1e-170", str(2.0**500)], ids=["1e160", "1e-170", "2^500"])
     def test_arch_scale_the_recursion_cannot_hold_is_a_configuration_error(self, capsys, a):
